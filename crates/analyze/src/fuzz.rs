@@ -60,8 +60,7 @@ pub enum Kind {
     Wav,
     /// `Segment::from_binary` (PDSG envelope).
     Seg,
-    /// `Segment::from_blob` (v2 `PDSB` block container, or the v1 PDSG
-    /// envelope + whole-input CRC trailer).
+    /// `Segment::from_blob` (the `PDSB` block container).
     Blob,
     /// `blob::decode_blob_meta` (footer + meta block only — the lazy-open
     /// path, which never reads the synopsis block).

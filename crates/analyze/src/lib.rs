@@ -45,21 +45,21 @@
 //! on the line above the flagged call, or above the `fn` to cover the
 //! whole function.
 //!
-//! ### `panic-freedom` (`pds-core::binio` and `pds-core::telemetry`, store
-//! `wal.rs` / `manifest.rs` / `segment.rs` / `telemetry.rs`; all of
-//! `crates/server/src`; the query-path functions of `store.rs`)
+//! ### `panic-freedom` (`pds-core::binio`, `pds-core::telemetry` and
+//! `pds-core::vfs`; store `wal.rs` / `manifest.rs` / `segment.rs` /
+//! `blob.rs` / `telemetry.rs` / `query.rs`; all of `crates/server/src`)
 //!
 //! **What:** in non-test code of the covered scope, no
 //! `.unwrap()` / `.expect()`, no `panic!` / `todo!` / `unimplemented!` /
 //! `unreachable!`, and no index expression without visible bounds
-//! evidence.  Coverage has three tiers: the four durability-critical
-//! decoder files and the whole `pds-server` crate are covered wall to
-//! wall, while `crates/store/src/store.rs` is covered only inside the
-//! query-path functions (`range_estimate`, `estimate`, `stats`,
-//! `partition_pieces`, `merge_global`, `snapshot_view`, their timed
-//! `*_core` bodies, the `render_metrics`/`render_events` telemetry
-//! surface, `read_shard` and the `SnapshotView` accessors) — the write
-//! paths *should* panic rather than keep mutating behind a poisoned lock.
+//! evidence.  Coverage is always a whole file: the durability-critical
+//! decoder files, the whole `pds-server` crate, and the store's read side
+//! — `crates/store/src/query.rs`: segment handles, the range kernel,
+//! `estimate` / `range_estimate` / `merge_global` / `snapshot_view` /
+//! `stats` / `render_*` and `SnapshotView`, everything `pds-server`
+//! routes client commands to.  The store's write paths live in
+//! `store.rs`, outside the rule — they *should* panic rather than keep
+//! mutating behind a poisoned lock.
 //! The telemetry files join the list because they record inside
 //! shard-guard windows and render on the serving path: a panic there
 //! turns an observability feature into an availability bug.  Evidence (deliberately coarse — this is a reviewer aid with

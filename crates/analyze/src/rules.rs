@@ -299,7 +299,7 @@ const LOCK_BANNED_CALLS: &[&str] = &[
     "freeze",
     "unfreeze",
     "install_in_memory",
-    "install_segment",
+    "complete_seal",
     "commit_durable",
     "write_segment_blob",
 ];
@@ -550,6 +550,11 @@ const PANIC_FILES: &[&str] = &[
     // The block-structured blob codec decodes untrusted footer/meta/block
     // bytes both at reopen and lazily on the serving path.
     "crates/store/src/blob.rs",
+    // The store's whole read side — everything a network front-end exposes
+    // directly (`pds-server` routes client commands here).  The write paths
+    // stay in `store.rs`, outside the rule: a writer observing lock poison
+    // *must* panic rather than keep mutating.
+    "crates/store/src/query.rs",
 ];
 
 const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented", "unreachable"];
@@ -574,80 +579,12 @@ const GUARD_EVIDENCE: &[&str] = &[
     "clamp",
 ];
 
-/// The query-path functions of `crates/store/src/store.rs` held to
-/// panic-freedom: everything a network front-end exposes directly
-/// (`pds-server` routes client commands here), plus the helpers they answer
-/// through.  Write paths (`ingest`, seal, compaction) stay outside the rule
-/// — a writer observing lock poison *must* panic rather than keep mutating.
-const STORE_QUERY_FNS: &[&str] = &[
-    "range_estimate",
-    "range_estimate_core",
-    "estimate",
-    "stats",
-    "partition_pieces",
-    "merge_global",
-    "merge_global_core",
-    "snapshot_view",
-    "snapshot_view_core",
-    "read_shard",
-    "n",
-    "num_partitions",
-    "segment_count",
-    "live_records",
-    "render_metrics",
-    "render_events",
-    // The read-path acceleration helpers: bound clamping, segment-handle
-    // pruning/lazy loads (which serve queries directly) and the snapshot
-    // capture loop.
-    "clamp_range",
-    "load",
-    "fetch",
-    "range_sum",
-    "may_overlap",
-    "records",
-    "capture_one",
-    "capture_parts",
-    "view_from",
-];
-
-/// Whole-file panic-freedom: the durability-critical decoder files and
-/// every non-test line of `pds-server`.
+/// Whole-file panic-freedom: the durability-critical files (the store's
+/// read side among them) and every non-test line of `pds-server`.
 fn panic_freedom(model: &SourceModel, context: &str, out: &mut Vec<Diagnostic>) {
-    panic_freedom_scoped(model, context, |_| true, out);
-}
-
-/// Panic-freedom restricted to the bodies of the named functions — used for
-/// the store's query path, where the same file also holds write paths that
-/// are *supposed* to panic on poisoned locks.
-fn panic_freedom_fns(
-    model: &SourceModel,
-    names: &[&str],
-    context: &str,
-    out: &mut Vec<Diagnostic>,
-) {
-    let bodies: Vec<(usize, usize)> = model
-        .fns
-        .iter()
-        .filter(|f| names.contains(&f.name.as_str()))
-        .filter_map(|f| f.body)
-        .collect();
-    panic_freedom_scoped(
-        model,
-        context,
-        |i| bodies.iter().any(|&(open, close)| i > open && i < close),
-        out,
-    );
-}
-
-fn panic_freedom_scoped(
-    model: &SourceModel,
-    context: &str,
-    in_scope: impl Fn(usize) -> bool,
-    out: &mut Vec<Diagnostic>,
-) {
     let tokens = &model.tokens;
     for i in 0..tokens.len() {
-        if model.in_test(i) || !in_scope(i) {
+        if model.in_test(i) {
             continue;
         }
         let t = &tokens[i];
@@ -1277,10 +1214,10 @@ fn path_str(model: &SourceModel) -> String {
 /// * `vfs-discipline` — files under `crates/store/src` (durable I/O must
 ///   route through `pds_core::vfs`, not raw `fs`/`File`/`OpenOptions`);
 /// * `crash-coverage` — files under `crates/store/src`;
-/// * `panic-freedom` — the four durability-critical files (see crate docs),
-///   the whole of `crates/server/src` (the serving path: hostile bytes must
-///   cost an `ERR` line, never the process), and the query-path functions
-///   of `crates/store/src/store.rs` (`STORE_QUERY_FNS`);
+/// * `panic-freedom` — the durability-critical files (`PANIC_FILES`, see
+///   crate docs; `crates/store/src/query.rs`, the store's read side, is one
+///   of them) and the whole of `crates/server/src` (the serving path:
+///   hostile bytes must cost an `ERR` line, never the process);
 /// * `binio-framing` — all `src` files;
 /// * `telemetry-pairing` — all `src` files (only telemetry code contains
 ///   `.observe(` sites); `crates/core/src/telemetry.rs` additionally gets
@@ -1312,13 +1249,6 @@ pub fn analyze_sources(models: &[SourceModel]) -> Report {
         }
         if PANIC_FILES.iter().any(|f| p.ends_with(f)) {
             panic_freedom(model, "durability-critical code", &mut raw);
-        } else if p.ends_with("crates/store/src/store.rs") {
-            panic_freedom_fns(
-                model,
-                STORE_QUERY_FNS,
-                "the panic-free query path",
-                &mut raw,
-            );
         }
         telemetry_pairing(model, &mut raw);
     }

@@ -58,16 +58,27 @@ fn panic_freedom_fires_on_seeded_spans_only() {
 }
 
 #[test]
-fn query_path_scoping_fires_inside_query_fns_only() {
-    let report = analyze(&[(
-        "crates/store/src/store.rs",
-        include_str!("fixtures/query_path_violation.rs"),
-    )]);
+fn query_path_scoping_follows_the_query_module() {
+    let fixture = include_str!("fixtures/query_path_violation.rs");
+    let report = analyze(&[("crates/store/src/query.rs", fixture)]);
     assert_eq!(
         findings(&report),
-        vec![(7, RULE_PANIC), (8, RULE_PANIC)],
-        "expected the index and unwrap seeds inside `range_estimate` only \
-         (the identical shapes in `ingest` are write-path): {:#?}",
+        vec![
+            (7, RULE_PANIC),
+            (8, RULE_PANIC),
+            (14, RULE_PANIC),
+            (14, RULE_PANIC),
+            (15, RULE_PANIC),
+        ],
+        "expected every seed to fire — the read-side module is covered \
+         wall to wall, whatever the function is called: {:#?}",
+        report.diagnostics
+    );
+    let report = analyze(&[("crates/store/src/store.rs", fixture)]);
+    assert_eq!(
+        findings(&report),
+        vec![],
+        "the identical shapes in `store.rs` are write-path and stay silent: {:#?}",
         report.diagnostics
     );
 }

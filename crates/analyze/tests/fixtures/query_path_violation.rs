@@ -1,6 +1,6 @@
-//! Fixture: panic-freedom is scoped to the query-path functions of
-//! `store.rs` — seeds inside `range_estimate` fire; the same shapes in
-//! the write path (`ingest`) stay silent, as writers must panic on poison.
+//! Fixture: panic-freedom follows the store's module seam — fed as
+//! `query.rs` (the read side) every seed fires whatever its function is
+//! called; fed as `store.rs` (write paths, which must panic on poison) none.
 
 pub fn range_estimate(lo: usize, hi: usize) -> f64 {
     let v = vec![1.0, 2.0];

@@ -644,15 +644,18 @@ mod tests {
     fn armed_fault_fires_on_nth_op_then_expires() {
         let dir = tmp_dir("nth");
         let path = dir.join("x.bin");
-        let before = fault::injected_total();
         let guard = fault::arm(FaultSpec::transient("t-nth", ErrorClass::Eio, 2, 1).scoped(&dir));
+        // The injection counter is process-global: both readings sit inside
+        // the armed window (the guard holds the process-wide fault-test
+        // lock), so sibling tests on other cores cannot land in the delta.
+        let before = fault::injected_total();
         write("t-nth", &path, b"one").unwrap(); // op 1: below trigger
         let err = write("t-nth", &path, b"two").unwrap_err(); // op 2: fires
         assert!(fault::is_injected(&err), "{err}");
         write("t-nth", &path, b"three").unwrap(); // count exhausted
+        assert_eq!(fault::injected_total() - before, 1);
         drop(guard);
         write("t-nth", &path, b"four").unwrap(); // disarmed
-        assert_eq!(fault::injected_total() - before, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

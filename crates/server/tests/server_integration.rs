@@ -547,3 +547,54 @@ fn metrics_scrape_and_stats_json_cover_both_layers() {
     );
     client.quit();
 }
+
+/// `EST`/`RANGE` are served from snapshot views, and a view reports its
+/// scans into the store's telemetry like the store's own query path does:
+/// every sealed segment of a touched partition is either visited or
+/// pruned, so N requests move `visited + pruned` by exactly N times the
+/// segments in the partitions the window spans.
+#[test]
+fn wire_queries_move_the_segment_scan_counters() {
+    const REQUESTS: u64 = 25;
+    let store = Arc::new(SynopsisStore::new(store_config(64, 4, 8)).unwrap());
+    let server = RunningServer::start(Arc::clone(&store), ServerConfig::default());
+    let mut client = Client::connect(&server.handle);
+    ingest_over(&mut client, &workload(200, 11, 64));
+    assert_eq!(client.cmd("SEAL"), "OK sealed");
+    assert_eq!(client.cmd("FLUSH"), "OK flushed");
+
+    let scanned = || -> u64 {
+        let text = store.render_metrics();
+        ["visited", "pruned"]
+            .iter()
+            .map(|kind| {
+                let name = format!("pds_store_segments_{kind}_total ");
+                text.lines()
+                    .find_map(|l| l.strip_prefix(name.as_str()))
+                    .unwrap_or_else(|| panic!("{name}missing from:\n{text}"))
+                    .parse::<u64>()
+                    .expect("counter value")
+            })
+            .sum()
+    };
+    let segments_in = |parts: std::ops::RangeInclusive<usize>| -> u64 {
+        parts.map(|p| store.segments(p).len() as u64).sum()
+    };
+    assert!(segments_in(0..=3) >= 8, "need several segments a partition");
+
+    // Items 20..=40 span partitions 1 and 2 (16 items each).
+    let before = scanned();
+    for _ in 0..REQUESTS {
+        let _ = ok_value(&client.cmd("RANGE 20 40"));
+    }
+    assert_eq!(scanned() - before, REQUESTS * segments_in(1..=2));
+
+    // A point query touches one partition; an out-of-domain one, none.
+    let before = scanned();
+    for _ in 0..REQUESTS {
+        let _ = ok_value(&client.cmd("EST 50"));
+        assert_eq!(client.cmd("EST 64"), "OK 0");
+    }
+    assert_eq!(scanned() - before, REQUESTS * segments_in(3..=3));
+    client.quit();
+}

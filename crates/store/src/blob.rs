@@ -35,10 +35,11 @@
 //! any mismatch — the lazily-read meta block can never disagree with the
 //! synopsis it fences.
 //!
-//! [`Segment::from_blob`](crate::Segment::from_blob) still accepts the
-//! pre-block v1 blob (`PDSG` bytes + CRC-32 trailer) by dispatching on
-//! the leading magic, so stores written before the v2 format reopen
-//! unchanged.
+//! This is the **only** blob layout: the pre-block v1 blob (`PDSG` bytes
+//! and a CRC-32 trailer) is no longer accepted —
+//! [`Segment::from_blob`](crate::Segment::from_blob) and
+//! [`SynopsisStore::open_with_wal`](crate::SynopsisStore::open_with_wal)
+//! reject it with an error naming it a "v1 / unframed blob".
 
 use pds_core::binio::{crc32, ByteReader, ByteWriter};
 use pds_core::error::{PdsError, Result};
@@ -344,6 +345,18 @@ impl BlobFooter {
         HEADER_LEN as u64 + u64::from(self.meta_len)
     }
 
+    /// Whether the declared geometry tiles a `file_len`-byte file exactly
+    /// (`header + meta + synopsis + footer == total_len == file_len`) —
+    /// the check that rejects truncated or spliced files before any block
+    /// is parsed.
+    pub fn tiles(&self, file_len: u64) -> bool {
+        let expected = (HEADER_LEN as u64)
+            .checked_add(u64::from(self.meta_len))
+            .and_then(|v| v.checked_add(self.syn_len))
+            .and_then(|v| v.checked_add(FOOTER_LEN as u64));
+        expected == Some(self.total_len) && self.total_len == file_len
+    }
+
     fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_u32(self.meta_len);
@@ -482,11 +495,7 @@ pub fn decode_footer(bytes: &[u8]) -> Result<BlobFooter> {
         )));
     }
     let footer = BlobFooter::decode(&bytes[bytes.len() - FOOTER_LEN..])?;
-    let expected = (HEADER_LEN as u64)
-        .checked_add(u64::from(footer.meta_len))
-        .and_then(|v| v.checked_add(footer.syn_len))
-        .and_then(|v| v.checked_add(FOOTER_LEN as u64));
-    if expected != Some(footer.total_len) || footer.total_len != bytes.len() as u64 {
+    if !footer.tiles(bytes.len() as u64) {
         return Err(corrupt(format!(
             "segment blob: footer declares {} total bytes over a {}-byte file",
             footer.total_len,
@@ -500,15 +509,22 @@ pub fn decode_footer(bytes: &[u8]) -> Result<BlobFooter> {
 /// **without touching the synopsis block** — exactly what a lazy reopen
 /// reads per segment, and the decoder the `blobmeta` fuzz target drives.
 pub fn decode_blob_meta(bytes: &[u8]) -> Result<BlobMeta> {
+    Ok(decode_framing(bytes)?.1)
+}
+
+/// The metadata half shared by [`decode_blob_meta`] and [`decode_blob`]:
+/// the verified footer, the decoded meta block and the rest of the blob
+/// (synopsis block + footer).
+fn decode_framing(bytes: &[u8]) -> Result<(BlobFooter, BlobMeta, &[u8])> {
     let footer = decode_footer(bytes)?;
-    let meta_end = HEADER_LEN + footer.meta_len as usize;
-    // meta_end <= bytes.len() is implied by the footer geometry check;
-    // slice through `get` anyway so this path cannot panic even if that
-    // check ever regresses.
-    let prefix = bytes
-        .get(..meta_end)
+    // The split point is in bounds by the footer geometry check; go
+    // through `split_at_checked` anyway so this path cannot panic even if
+    // that check ever regresses.
+    let (prefix, rest) = bytes
+        .split_at_checked(HEADER_LEN + footer.meta_len as usize)
         .ok_or_else(|| corrupt("segment blob: meta block exceeds the blob".to_string()))?;
-    decode_meta_block(prefix, footer.meta_crc)
+    let meta = decode_meta_block(prefix, footer.meta_crc)?;
+    Ok((footer, meta, rest))
 }
 
 /// Verifies and decodes a standalone synopsis block against its footer
@@ -540,17 +556,9 @@ pub fn decode_synopsis_block(bytes: &[u8], syn_crc: u32, meta: &BlobMeta) -> Res
 /// meta-vs-synopsis recompute check.  Returns the segment together with
 /// its verified metadata.
 pub fn decode_blob(bytes: &[u8]) -> Result<(Segment, BlobMeta)> {
-    let footer = decode_footer(bytes)?;
-    let meta_end = HEADER_LEN + footer.meta_len as usize;
-    // Both bounds are implied by the footer geometry check; slice through
-    // `get` anyway so this path cannot panic even if that check regresses.
-    let prefix = bytes
-        .get(..meta_end)
-        .ok_or_else(|| corrupt("segment blob: meta block exceeds the blob".to_string()))?;
-    let meta = decode_meta_block(prefix, footer.meta_crc)?;
-    let syn_end = meta_end + footer.syn_len as usize;
-    let block = bytes
-        .get(meta_end..syn_end)
+    let (footer, meta, rest) = decode_framing(bytes)?;
+    let block = rest
+        .get(..footer.syn_len as usize)
         .ok_or_else(|| corrupt("segment blob: synopsis block exceeds the blob".to_string()))?;
     let segment = decode_synopsis_block(block, footer.syn_crc, &meta)?;
     Ok((segment, meta))
@@ -558,8 +566,7 @@ pub fn decode_blob(bytes: &[u8]) -> Result<(Segment, BlobMeta)> {
 
 /// Encodes a segment as a v2 blob (the bytes of an install-time
 /// `seg-<p>-<seq>.bin` file).  The synopsis block is the exact
-/// [`Segment::to_binary`] image, so an eager decode can reuse it as the
-/// segment's cached binary without re-encoding.
+/// [`Segment::to_binary`] image.
 pub fn encode_blob(segment: &Segment) -> Result<Vec<u8>> {
     let syn = segment.to_binary()?;
     let meta_block = encode_meta_block(&BlobMeta::of(segment));

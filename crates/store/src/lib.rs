@@ -32,31 +32,32 @@
 //!
 //! ## Read path
 //!
-//! Three layers make reads skip work without changing a single bit of any
-//! answer (the equivalence is pinned bitwise by `tests/store_read_path.rs`
-//! and the `pds_store_pipeline --read-gate` bench gate):
+//! The whole read side lives in one module (`query.rs`) and has **no
+//! knobs**.  Three layers make reads skip work without changing a single
+//! bit of any answer (pinned bitwise against a full-walk reference by
+//! `tests/store_read_path.rs`, and gated by `pds_store_pipeline
+//! --read-gate`):
 //!
 //! * **Segment pruning.**  Every sealed segment carries prune metadata in
 //!   its blob: the item-range fence and a small presence filter over the
-//!   items its synopsis actually supports.  [`SynopsisStore::range_estimate`]
-//!   and [`SnapshotView`] consult the fence/filter first and skip segments
-//!   whose metadata proves a zero contribution.  Skipping is
-//!   **bit-invisible** because a skipped segment's range sum is exactly
-//!   `0.0` and the accumulation order of the remaining terms is preserved
-//!   (segments in install order, then the live memtable, then each frozen
-//!   memtable).  The [`StoreConfig::prune`] knob (default on) disables it
-//!   for A/B runs; `pds_store_segments_{visited,pruned}_total` count the
-//!   effect.
-//! * **Lazy synopsis blocks.**  Blobs are block-structured (see below), so
-//!   [`SynopsisStore::open_with_wal`] verifies and maps only each blob's
-//!   footer and prune-metadata block at recovery; the synopsis block loads
-//!   on first touch — a pruned-away or never-queried segment is never read
-//!   from disk again.  Loads go through the fault-injectable vfs under the
-//!   `block-read` site: a corrupt or unreadable block surfaces at first
-//!   touch as the sticky degraded mode (the segment contributes `0.0`;
-//!   reads keep serving; a clean reopen recovers), while
-//!   [`StoreConfig::lazy_blocks`]` = false` restores the eager contract —
-//!   every block verified at open, corruption fails the open.
+//!   items its synopsis actually supports.  One accumulation kernel serves
+//!   [`SynopsisStore::range_estimate`] and [`SnapshotView`] alike: it
+//!   consults the fence/filter first and skips segments whose metadata
+//!   proves a zero contribution.  Skipping is **bit-invisible** because a
+//!   skipped segment's range sum is exactly `0.0` and the accumulation
+//!   order of the remaining terms is preserved (segments in install order,
+//!   then the live memtable, then each frozen memtable);
+//!   `pds_store_segments_{visited,pruned}_total` count the effect, for
+//!   store and view queries both.
+//! * **Lazy synopsis blocks.**  Blobs are block-structured (see below), and
+//!   [`SynopsisStore::open_with_wal`] always verifies and maps only each
+//!   blob's header, footer and prune-metadata block — corruption there
+//!   fails the open.  The synopsis block loads on first touch, so a
+//!   pruned-away or never-queried segment is never read from disk again.
+//!   Loads go through the fault-injectable vfs under the `block-read`
+//!   site: a corrupt or unreadable block surfaces at first touch as the
+//!   sticky degraded mode (the segment contributes `0.0`; reads keep
+//!   serving; a clean reopen recovers).
 //! * **Merged-synopsis cache.**  [`SynopsisStore::merge_global`] memoises
 //!   its result keyed on the store's version counter (bumped at every
 //!   structural commit: a sealed-segment install or a compaction swap) and
@@ -82,8 +83,8 @@
 //!   ([`blob`]): a prune-metadata block (item fence + presence filter) and
 //!   the `PDSG` synopsis block, each CRC-checked, behind an index footer —
 //!   so reopen can verify and map the metadata without reading the
-//!   synopsis bytes (atomic tmp-rename publish; v1 single-block blobs
-//!   still decode, eagerly).
+//!   synopsis bytes (atomic tmp-rename publish).  This is the only layout:
+//!   a v1 / unframed blob fails the open with an error naming the file.
 //! * **`MANIFEST`** ([`manifest`]) — the append-only, versioned record of
 //!   which blobs are live; *a manifest entry is a seal's commit point*, and
 //!   compaction replaces entries through an atomic tmp-rename publish.
@@ -103,7 +104,7 @@
 //! | **installed** | reloaded from its blob via the manifest | `manifest-install` unfreezes and degrades (the published blob becomes an orphan, swept at the next reopen); a failed `wal-retire` afterwards is counted, never fatal — the manifest entry already covers the log |
 //! | mid-compaction (merge or swap) | inputs stay authoritative until the manifest publish; the half-done output blob is swept at reopen | `manifest-replace` degrades with the inputs still authoritative; a failed superseded-blob `cleanup` is counted, never fatal |
 //! | being recovered at reopen | n/a | `recovery-read` / `recovery-commit` abort [`SynopsisStore::open_with_wal`] with a [`PdsError`] — an open never half-succeeds or degrades |
-//! | installed, synopsis block loaded lazily at first query | n/a (blocks reload from the blob) | `block-read` degrades at first touch: the segment contributes `0.0`, reads keep serving, writes refuse; a clean reopen recovers (eager mode moves the failure to the open instead) |
+//! | installed, synopsis block loaded lazily at first query | n/a (blocks reload from the blob) | `block-read` degrades at first touch: the segment contributes `0.0`, reads keep serving, writes refuse; a clean reopen recovers |
 //!
 //! Every deliverable of that table is pinned by the deterministic
 //! crash-injection matrix (`tests/store_crash_matrix.rs`, labels in
@@ -200,6 +201,7 @@ mod compaction;
 pub mod crashpoint;
 pub mod manifest;
 mod memtable;
+mod query;
 mod segment;
 mod store;
 mod telemetry;
@@ -207,7 +209,8 @@ pub mod wal;
 
 pub use compaction::CompactionPolicy;
 pub use memtable::Memtable;
+pub use query::SnapshotView;
 pub use segment::{Segment, SegmentSynopsis, SynopsisKind};
-pub use store::{PartitionSpec, SnapshotView, StoreConfig, StoreStats, SynopsisStore};
+pub use store::{PartitionSpec, StoreConfig, StoreStats, SynopsisStore};
 pub use telemetry::FAULT_SITES;
 pub use wal::{PartitionWal, WalSync};

@@ -1,11 +1,12 @@
 //! The per-store `MANIFEST`: the durable source of truth for which sealed
 //! segment blobs are live.
 //!
-//! Sealing writes a `seg-<p>-<seq>.bin` blob at install time (the segment's
-//! `PDSG` binary encoding plus a CRC-32 trailer, published by tmp-rename);
-//! the manifest records which of those blobs a reopen should load.  Reopen
-//! order is **manifest → segment blobs → WAL tail**: the manifest names the
-//! segments, their blobs are decoded (checksum first), and only then is the
+//! Sealing writes a `seg-<p>-<seq>.bin` blob at install time (the
+//! block-structured `PDSB` container of [`crate::blob`], published by
+//! tmp-rename); the manifest records which of those blobs a reopen should
+//! load.  Reopen order is **manifest → segment blobs → WAL tail**: the
+//! manifest names the segments, their blobs are opened (footer and meta
+//! block verified; synopsis blocks load on first touch), and only then is the
 //! WAL scanned — skipping frozen logs whose seal sequence the manifest
 //! already covers, because *the manifest entry is a seal's commit point*.
 //! A crash before the entry replays the seal's records from its frozen WAL
@@ -66,8 +67,8 @@ fn io_err(context: &str, e: std::io::Error) -> PdsError {
     }
 }
 
-/// File name of a sealed segment's blob: the `PDSG` binary encoding plus a
-/// 4-byte CRC-32 trailer.
+/// File name of a sealed segment's blob (the `PDSB` container of
+/// [`crate::blob`]).
 pub fn segment_blob_name(partition: usize, seq: u64) -> String {
     format!("seg-{partition}-{seq}.bin")
 }
@@ -290,8 +291,7 @@ impl Manifest {
     }
 
     /// Deletes `seg-*.bin` blobs that no live manifest entry references —
-    /// the sweep keys on the name, not the contents, so v1 CRC-trailed and
-    /// v2 block-structured blobs are recognised alike — and any stale
+    /// the sweep keys on the name, not the contents — and any stale
     /// `*.tmp` staging file (blob, manifest or WAL-recovery) left by a
     /// crash between stage and rename: every publish re-stages from
     /// scratch, so a leftover `.tmp` is always garbage.  Removal failures
@@ -510,10 +510,9 @@ mod tests {
             m.install(0, 0).unwrap();
         }
         // A blob whose manifest record never landed (the sweep is
-        // name-keyed, so its contents — v1, v2 block-structured or
-        // garbage — are irrelevant), a stale blob staging file, a stale
-        // manifest staging file and a stale WAL-recovery staging file:
-        // all swept at open.
+        // name-keyed, so its contents are irrelevant), a stale blob
+        // staging file, a stale manifest staging file and a stale
+        // WAL-recovery staging file: all swept at open.
         fs::write(dir.join(segment_blob_name(0, 9)), b"orphan").unwrap();
         fs::write(dir.join("seg-0-3.bin.tmp"), b"stale").unwrap();
         fs::write(dir.join("MANIFEST.tmp"), b"stale").unwrap();

@@ -259,8 +259,8 @@ impl Segment {
     }
 
     /// Serialises the segment as a **durable blob** — the exact bytes of
-    /// an install-time `seg-<p>-<seq>.bin` file.  Since format v2 this is
-    /// the block-structured [`blob`](crate::blob) container (`PDSB`):
+    /// an install-time `seg-<p>-<seq>.bin` file: the block-structured
+    /// [`blob`](crate::blob) container (`PDSB`):
     /// prune metadata in a front block, the compact binary encoding
     /// ([`Segment::to_binary`]) as a lazily-loadable synopsis block, and
     /// a CRC'd index footer.
@@ -268,18 +268,20 @@ impl Segment {
         crate::blob::encode_blob(self)
     }
 
-    /// Parses a durable blob written by [`Segment::to_blob`], dispatching
-    /// on the leading magic: `PDSB` decodes the block-structured v2
-    /// container (every block CRC-verified, prune metadata recomputed and
-    /// cross-checked); legacy `PDSG`-headed v1 blobs (compact binary +
-    /// CRC-32 trailer) stay readable.  Bit rot and truncation surface as
-    /// [`PdsError`]s before any payload is trusted.
+    /// Parses a durable blob written by [`Segment::to_blob`]: every block
+    /// CRC-verified, prune metadata recomputed and cross-checked.  Bit rot
+    /// and truncation surface as [`PdsError`]s before any payload is
+    /// trusted; bytes that do not even start with the `PDSB` magic — the
+    /// retired `PDSG`-headed v1 layout included — are rejected by name.
     pub fn from_blob(bytes: &[u8]) -> Result<Self> {
-        if bytes.starts_with(&crate::blob::BLOB_MAGIC) {
-            return Ok(crate::blob::decode_blob(bytes)?.0);
+        if !bytes.starts_with(&crate::blob::BLOB_MAGIC) {
+            return Err(PdsError::InvalidParameter {
+                message: "segment blob: v1 / unframed blob (no PDSB header); only the \
+                          block-structured v2 container decodes"
+                    .into(),
+            });
         }
-        let payload = pds_core::binio::verify_crc32(bytes, "segment blob")?;
-        Segment::from_binary(payload)
+        Ok(crate::blob::decode_blob(bytes)?.0)
     }
 
     /// Serialises the segment into the versioned JSON envelope — the debug
@@ -387,19 +389,12 @@ mod tests {
         for cut in 0..blob.len() {
             assert!(Segment::from_blob(&blob[..cut]).is_err(), "cut at {cut}");
         }
-        // Legacy v1 blobs (compact binary + CRC-32 trailer) still decode
-        // through the magic dispatch, with the same corruption guarantees.
+        // The retired v1 layout (compact binary + CRC-32 trailer) is
+        // rejected by name, never decoded.
         let mut v1 = seg.to_binary().unwrap();
         pds_core::binio::append_crc32(&mut v1);
-        assert_eq!(Segment::from_blob(&v1).unwrap(), seg);
-        for pos in 0..v1.len() {
-            let mut bad = v1.clone();
-            bad[pos] ^= 0x10;
-            assert!(Segment::from_blob(&bad).is_err(), "v1 flip at byte {pos}");
-        }
-        for cut in 0..v1.len() {
-            assert!(Segment::from_blob(&v1[..cut]).is_err(), "v1 cut at {cut}");
-        }
+        let err = Segment::from_blob(&v1).unwrap_err().to_string();
+        assert!(err.contains("v1 / unframed blob"), "{err}");
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock, RwLockWriteGuard};
 
 use pds_core::binio::{ByteReader, ByteWriter};
 use pds_core::error::{PdsError, Result};
@@ -39,17 +39,16 @@ use pds_core::stream::StreamRecord;
 use pds_core::telemetry::Stopwatch;
 use pds_core::vfs;
 use pds_histogram::merge::{optimal_piecewise_histogram, sum_pieces, Piece};
-use pds_histogram::Histogram;
 use pds_wavelet::build_sse_wavelet;
 use serde::{Deserialize, Serialize};
 
-use crate::blob::{self, BlobFooter, BlobMeta, FOOTER_LEN, HEADER_LEN};
 use crate::compaction::CompactionPolicy;
 use crate::crashpoint;
 use crate::manifest::{segment_blob_name, Manifest};
 use crate::memtable::Memtable;
+use crate::query::{MergeCache, SegmentHandle};
 use crate::segment::{Segment, SegmentSynopsis, SynopsisKind};
-use crate::telemetry::{IoPolicy, QueryOp, StoreTelemetry};
+use crate::telemetry::{IoPolicy, StoreTelemetry};
 use crate::wal::{PartitionWal, WalSync};
 
 /// One x-tuple's alternatives grouped by owning partition.
@@ -173,32 +172,14 @@ pub struct StoreConfig {
     /// `io_backoff_ms << k` milliseconds; `0` retries immediately.  A
     /// runtime knob: not persisted by [`SynopsisStore::to_binary`].
     pub io_backoff_ms: u64,
-    /// Segment pruning on the query path (default on): every sealed
-    /// segment carries an item-range *fence* (and, for sparse segments, a
-    /// presence filter) over its synopsis support, and range/point
-    /// estimates skip segments whose fence proves a zero contribution to
-    /// the query window.  Pruning is **bitwise invisible** — a skipped
-    /// segment would have contributed an exact `±0.0`, and the query
-    /// accumulators never hold `-0.0`, so the estimate is bit-identical
-    /// with the knob on or off (pinned by the `store_read_path` suite).
-    /// A runtime knob: not persisted by [`SynopsisStore::to_binary`].
-    pub prune: bool,
-    /// Lazy synopsis-block loading at [`SynopsisStore::open_with_wal`]
-    /// (default on): reopen maps only each blob's footer and meta block
-    /// (fence, filter, record count) and defers the synopsis block to the
-    /// first query that actually needs it — reopen time and resident
-    /// memory stop scaling with total synopsis bytes.  `false` restores
-    /// eager decoding of every blob at open.  Answers are bit-identical
-    /// either way; a block whose deferred read fails contributes zero and
-    /// flips the store into degraded read-only mode (see
-    /// [`SynopsisStore::degraded`]).  A runtime knob: not persisted by
-    /// [`SynopsisStore::to_binary`].
-    pub lazy_blocks: bool,
 }
 
 impl StoreConfig {
     /// A configuration with the default runtime knobs: manual compaction,
-    /// flush-tier WAL durability and telemetry recording on.
+    /// flush-tier WAL durability, telemetry recording on and two
+    /// durable-path retries with a 1 ms base backoff.  The read path has no
+    /// knobs: segment pruning is unconditional and a reopened store always
+    /// loads synopsis blocks lazily (both are bit-invisible).
     pub fn new(
         partitions: PartitionSpec,
         seal_threshold: usize,
@@ -215,8 +196,6 @@ impl StoreConfig {
             telemetry: true,
             io_retries: 2,
             io_backoff_ms: 1,
-            prune: true,
-            lazy_blocks: true,
         }
     }
 }
@@ -289,193 +268,52 @@ impl StoreStats {
     }
 }
 
-/// One sealed segment as held by its shard: the seal sequence, the shared
-/// (possibly lazily-backed) segment handle and, when known, the segment's
-/// cached `PDSG` encoding — computed once at install (or decode) so
-/// [`SynopsisStore::to_binary`] never re-serialises an installed segment.
+/// One sealed segment as held by its shard: the seal sequence and the
+/// shared (possibly lazily-backed) segment handle.
 #[derive(Debug, Clone)]
-struct SealedSegment {
-    seq: u64,
-    handle: Arc<SegmentHandle>,
-    binary: Option<Arc<Vec<u8>>>,
-}
-
-/// A shared handle to one sealed segment's synopsis, decoded **at most
-/// once**: segments installed by a seal, a compaction or an eager open
-/// carry their [`Segment`] from construction; segments installed by a
-/// lazy [`SynopsisStore::open_with_wal`] carry only their decoded meta
-/// block (header fields + prune metadata) plus a [`BlobSource`], and the
-/// synopsis block is read and decoded on the first query that actually
-/// needs it.  The meta block alone answers `records()` and every pruning
-/// decision, so a fully pruned (or never-queried) segment never touches
-/// its blob again after reopen.
-///
-/// Handles are shared by `Arc` between shards, snapshot views and
-/// compaction tasks, so one load serves every reader.  Loading never runs
-/// under a shard lock — query paths clone the handle `Arc`s out of the
-/// guard window first.
-#[derive(Debug)]
-struct SegmentHandle {
-    meta: BlobMeta,
-    synopsis: OnceLock<Arc<Segment>>,
-    source: Option<BlobSource>,
-}
-
-impl SegmentHandle {
-    /// A handle around an already-decoded segment, computing its prune
-    /// metadata (a pure function of the synopsis — see
-    /// [`blob::PruneMeta::of`]).
-    fn eager(segment: Arc<Segment>) -> SegmentHandle {
-        Self::preloaded(BlobMeta::of(&segment), segment)
-    }
-
-    /// A handle around an already-decoded segment whose meta block is
-    /// also already known (the eager-open path decodes both).
-    fn preloaded(meta: BlobMeta, segment: Arc<Segment>) -> SegmentHandle {
-        let synopsis = OnceLock::new();
-        let _ = synopsis.set(segment);
-        SegmentHandle {
-            meta,
-            synopsis,
-            source: None,
-        }
-    }
-
-    /// A handle that defers its synopsis block to the first use.
-    fn lazy(meta: BlobMeta, source: BlobSource) -> SegmentHandle {
-        SegmentHandle {
-            meta,
-            synopsis: OnceLock::new(),
-            source: Some(source),
-        }
-    }
-
-    /// Records sealed into the segment — answered from the meta block,
-    /// never loading the synopsis.
-    fn records(&self) -> u64 {
-        self.meta.records
-    }
-
-    /// Whether the segment may contribute a nonzero amount to the clamped
-    /// global query window `[lo, hi]` — the prune gate, answered from the
-    /// meta block alone (`false` proves a bitwise-exact zero
-    /// contribution, see [`blob::PruneMeta::may_overlap`]).
-    fn may_overlap(&self, lo: usize, hi: usize) -> bool {
-        self.meta.prune.may_overlap(self.meta.start, lo, hi)
-    }
-
-    /// The decoded synopsis: the cached `Arc` when present, otherwise one
-    /// bounded-retry read + decode of the blob's synopsis block, cached on
-    /// success so every later call (from any sharer of the handle) is an
-    /// `Arc` clone.  Failures are **not** cached — a transient fault that
-    /// outlives the retry budget degrades the owning store, but a reopen
-    /// (or a later call under a healed disk) can still succeed.
-    fn load(&self) -> Result<Arc<Segment>> {
-        if let Some(segment) = self.synopsis.get() {
-            return Ok(Arc::clone(segment));
-        }
-        let Some(source) = &self.source else {
-            // Unreachable by construction — eager handles pre-set the
-            // cell — but the query path degrades rather than panics.
-            return Err(PdsError::InvalidParameter {
-                message: "store: segment handle has neither a synopsis nor a blob source".into(),
-            });
-        };
-        let segment = source.fetch(&self.meta)?;
-        Ok(Arc::clone(self.synopsis.get_or_init(|| Arc::new(segment))))
-    }
-
-    /// The segment's estimated mass over the inclusive global range
-    /// `[lo, hi]`.  A synopsis block that cannot be loaded contributes
-    /// `0.0` — the degraded latch (set by the failed load) records the
-    /// cause, and queries keep serving everything still readable.
-    fn range_sum(&self, lo: usize, hi: usize) -> f64 {
-        match self.load() {
-            Ok(segment) => segment.range_sum(lo, hi),
-            Err(_) => 0.0,
-        }
-    }
-}
-
-/// Where (and how) a lazy [`SegmentHandle`] finds its synopsis block: the
-/// blob path, the block's offset/length/CRC from the footer, and the I/O
-/// policy ingredients — shared telemetry plus the owning store's degraded
-/// latch, so a view or compaction task loading through the handle reports
-/// exactly like the store itself would.
-#[derive(Debug)]
-struct BlobSource {
-    path: PathBuf,
-    syn_off: u64,
-    syn_len: usize,
-    syn_crc: u32,
-    telemetry: Arc<StoreTelemetry>,
-    degraded: Arc<OnceLock<String>>,
-    io_retries: u32,
-    io_backoff_ms: u64,
-}
-
-impl BlobSource {
-    /// Reads and decodes the synopsis block (bounded retry at the
-    /// `block-read` fault site), verifying the block CRC and that the
-    /// decoded synopsis reproduces the meta block it was installed under.
-    fn fetch(&self, meta: &BlobMeta) -> Result<Segment> {
-        let policy = IoPolicy::new(
-            self.io_retries,
-            self.io_backoff_ms,
-            Some(Arc::clone(&self.telemetry)),
-        );
-        let bytes = policy
-            .run("block-read", || {
-                vfs::read_range("block-read", &self.path, self.syn_off, self.syn_len)
-            })
-            .map_err(|e| {
-                self.degrade(format!(
-                    "reading the synopsis block of {}: {e}",
-                    self.path.display()
-                ))
-            })?;
-        self.telemetry.record_block_load();
-        blob::decode_synopsis_block(&bytes, self.syn_crc, meta).map_err(|e| {
-            self.degrade(format!(
-                "decoding the synopsis block of {}: {e}",
-                self.path.display()
-            ))
-        })
-    }
-
-    /// Trips the owning store's sticky degraded latch (same contract as
-    /// `StoreInner::degrade`, reachable without the store — snapshot
-    /// views and compaction tasks load through shared handles).
-    fn degrade(&self, cause: String) -> PdsError {
-        let cause = format!("block-read: {cause}");
-        if self.degraded.set(cause.clone()).is_ok() {
-            self.telemetry.record_degraded("block-read");
-        }
-        PdsError::Degraded {
-            cause: self.degraded.get().cloned().unwrap_or(cause),
-        }
-    }
+pub(crate) struct SealedSegment {
+    pub(crate) seq: u64,
+    pub(crate) handle: Arc<SegmentHandle>,
 }
 
 /// One partition's mutable state: the live memtable, the sealed segments
 /// (ascending by seal sequence) and the optional write-ahead log.
 #[derive(Debug)]
-struct Shard {
-    memtable: Memtable,
+pub(crate) struct Shard {
+    pub(crate) memtable: Memtable,
     /// Memtables frozen for sealing whose segment build is still in flight,
     /// by seal sequence: kept readable (shared with the [`SealTask`]) so a
     /// query racing a background seal never transiently loses the frozen
     /// records' mass; the entry is dropped when its segment installs.
-    frozen: Vec<(u64, Arc<Memtable>)>,
+    pub(crate) frozen: Vec<(u64, Arc<Memtable>)>,
     /// Sealed segments, ascending by sequence; the sequence restores
     /// deterministic order when background workers finish out of order.
-    segments: Vec<SealedSegment>,
+    pub(crate) segments: Vec<SealedSegment>,
     /// Next seal sequence number for this partition.
     next_seq: u64,
     /// A compaction round is in flight for this partition (selection made,
     /// swap pending) — serialises compaction per partition.
     compacting: bool,
     wal: Option<PartitionWal>,
+}
+
+impl Shard {
+    /// `Arc` clones of the sealed-segment handles, in install order — what
+    /// readers take out of a guard window so that no synopsis block is
+    /// ever loaded under a shard lock.
+    pub(crate) fn handles(&self) -> Vec<Arc<SegmentHandle>> {
+        self.segments
+            .iter()
+            .map(|s| Arc::clone(&s.handle))
+            .collect()
+    }
+
+    /// Inserts a freshly built segment at its sequence position.
+    fn install(&mut self, seq: u64, segment: Segment) {
+        let pos = self.segments.partition_point(|s| s.seq < seq);
+        let handle = Arc::new(SegmentHandle::eager(segment));
+        self.segments.insert(pos, SealedSegment { seq, handle });
+    }
 }
 
 /// The durable half of a store opened with
@@ -490,26 +328,26 @@ struct Durable {
 /// The shared, lock-protected core of a store (shards + counters); the
 /// background seal workers hold an `Arc` of this.
 #[derive(Debug)]
-struct StoreInner {
-    config: StoreConfig,
-    shards: Vec<RwLock<Shard>>,
+pub(crate) struct StoreInner {
+    pub(crate) config: StoreConfig,
+    pub(crate) shards: Vec<RwLock<Shard>>,
     durable: Option<Durable>,
-    ingested: AtomicU64,
-    seals: AtomicU64,
-    split_tuples: AtomicU64,
+    pub(crate) ingested: AtomicU64,
+    pub(crate) seals: AtomicU64,
+    pub(crate) split_tuples: AtomicU64,
     /// Process-local instrumentation (never persisted, never cloned):
     /// recording is lock-free, so every path — including shard-guard
     /// windows — may record.  Shared (`Arc`) so the I/O policies inside
     /// the WAL and manifest handles can report into it.
-    telemetry: Arc<StoreTelemetry>,
+    pub(crate) telemetry: Arc<StoreTelemetry>,
     /// The sticky degraded read-only latch: set (once, with the cause) by
     /// the first durable-path failure that survives the retry budget.
     /// Every mutating path checks it and returns [`PdsError::Degraded`];
     /// queries never look at it.  Only reopening the store clears it.
-    /// Shared (`Arc`) with every lazy [`BlobSource`], so a deferred
-    /// synopsis-block read that fails degrades the store exactly like an
-    /// install-time failure would.
-    degraded: Arc<OnceLock<String>>,
+    /// Shared (`Arc`) with every reopened [`SegmentHandle`]'s blob source,
+    /// so a deferred synopsis-block read that fails degrades the store
+    /// exactly like an install-time failure would.
+    pub(crate) degraded: Arc<OnceLock<String>>,
     /// Counts **structural commits** — seal installs and compaction swaps,
     /// bumped inside the owning shard's write lock.  Two uses: the
     /// optimistic snapshot-view capture loop (equal loads before/after the
@@ -519,7 +357,7 @@ struct StoreInner {
     /// Record-level ingest does not bump it: live memtable contents are
     /// outside both protocols (the merge covers sealed state only, and a
     /// shard's memtable is captured atomically under its own lock).
-    version: AtomicU64,
+    pub(crate) version: AtomicU64,
     /// The memoised [`SynopsisStore::merge_global`] result: one entry,
     /// keyed on `(version, b)`.  Structural commits invalidate it purely
     /// by bumping `version` — nothing is recomputed until the next merge
@@ -527,21 +365,13 @@ struct StoreInner {
     /// extracted, so a commit racing the computation can only make the
     /// stamp stale (a needless later recompute), never serve a wrong
     /// histogram.
-    merge_cache: Mutex<Option<MergeCache>>,
-}
-
-/// One memoised global merge (see `StoreInner::merge_cache`).
-#[derive(Debug)]
-struct MergeCache {
-    version: u64,
-    b: usize,
-    histogram: Histogram,
+    pub(crate) merge_cache: Mutex<Option<MergeCache>>,
 }
 
 impl StoreInner {
     /// The store's durable-path failure policy (configured retry budget,
     /// reporting into the store's telemetry).
-    fn io_policy(&self) -> IoPolicy {
+    pub(crate) fn io_policy(&self) -> IoPolicy {
         IoPolicy::new(
             self.config.io_retries,
             self.config.io_backoff_ms,
@@ -662,7 +492,7 @@ impl Drop for Sealer {
 /// the lifecycle and the module docs for the concurrency model).
 #[derive(Debug)]
 pub struct SynopsisStore {
-    inner: Arc<StoreInner>,
+    pub(crate) inner: Arc<StoreInner>,
     sealer: Option<Sealer>,
 }
 
@@ -766,20 +596,16 @@ impl SynopsisStore {
     /// Creates an empty store (no background workers, no write-ahead log,
     /// no durable directory).
     pub fn new(config: StoreConfig) -> Result<Self> {
-        Self::with_durability(config, None)
-    }
-
-    fn with_durability(config: StoreConfig, durable: Option<Durable>) -> Result<Self> {
         let telemetry = Arc::new(StoreTelemetry::new(
             config.partitions.len(),
             config.telemetry,
         ));
-        Self::with_parts(config, durable, telemetry)
+        Self::with_parts(config, None, telemetry)
     }
 
-    /// [`SynopsisStore::with_durability`] with a pre-built telemetry layer
-    /// — the durable open constructs telemetry *before* recovery so the
-    /// recovery-path I/O policies can already report into it.
+    /// The shared constructor.  Telemetry arrives pre-built: the durable
+    /// open constructs it *before* recovery so the recovery-path I/O
+    /// policies can already report into it.
     fn with_parts(
         config: StoreConfig,
         durable: Option<Durable>,
@@ -829,9 +655,10 @@ impl SynopsisStore {
     /// Reopen order is **manifest → segment blobs → WAL tail**:
     ///
     /// 1. The manifest is loaded (torn-tail tolerant, atomically
-    ///    republished) and every live `seg-<p>-<seq>.bin` blob is decoded —
-    ///    CRC-32 trailer first, then the `PDSG` payload — and installed at
-    ///    its seal sequence.  Orphaned blobs (their manifest record never
+    ///    republished) and every live `seg-<p>-<seq>.bin` blob is opened
+    ///    **lazily** — footer and meta block verified now, the synopsis
+    ///    block on the first query that touches it — and installed at its
+    ///    seal sequence.  Orphaned blobs (their manifest record never
     ///    landed) are swept; their records replay from the WAL instead.
     /// 2. The WAL is scanned read-only ([`crate::wal`]'s three-phase
     ///    protocol — an error anywhere leaves all files intact), **skipping
@@ -889,42 +716,24 @@ impl SynopsisStore {
             }
             let path = dir.join(segment_blob_name(p, seq));
             let (start, width) = store.inner.config.partitions.range(p);
-            // Lazy open (the default) maps only the blob's footer and meta
-            // block; eager open — configured, or the v1 fallback when the
-            // blob has no footer — decodes the whole synopsis now.
-            let lazy = match store.inner.config.lazy_blocks {
-                true => Self::open_blob_lazy(&store, &path)?,
-                false => None,
-            };
-            let (handle, binary, records) = match lazy {
-                Some(handle) => {
-                    let records = handle.records();
-                    (handle, None, records)
-                }
-                None => {
-                    let (handle, binary) = Self::open_blob_eager(&path)?;
-                    let records = handle.records();
-                    (handle, Some(Arc::new(binary)), records)
-                }
-            };
-            if handle.meta.start != start || handle.meta.width != width {
+            let handle = SegmentHandle::open(&path, &store.inner)?;
+            let (blob_start, blob_width) = handle.span();
+            if (blob_start, blob_width) != (start, width) {
                 return Err(PdsError::InvalidParameter {
                     message: format!(
-                        "segment blob {} covers [{}, {}] but partition {p} is [{start}, {}]",
+                        "segment blob {} covers [{blob_start}, {}] but partition {p} is [{start}, {}]",
                         path.display(),
-                        handle.meta.start,
-                        handle.meta.start + handle.meta.width - 1,
+                        blob_start + blob_width - 1,
                         start + width - 1
                     ),
                 });
             }
-            loaded_records += records;
+            loaded_records += handle.records();
             loaded_segments += 1;
             let mut shard = store.write_shard(p);
             shard.segments.push(SealedSegment {
                 seq,
                 handle: Arc::new(handle),
-                binary,
             });
             shard.next_seq = shard.next_seq.max(seq + 1);
         }
@@ -983,102 +792,6 @@ impl SynopsisStore {
             loaded_records + replayed_records,
         );
         Ok(store)
-    }
-
-    /// The lazy half of blob recovery: reads the fixed footer and the meta
-    /// block (three small `recovery-read` accesses), validates the blob's
-    /// geometry against the real file length, and returns a handle whose
-    /// synopsis block loads on first use.  Returns `Ok(None)` when the
-    /// file carries no valid v2 footer — a v1 blob (`PDSG` + CRC trailer)
-    /// from an older store, which the caller decodes eagerly instead.
-    fn open_blob_lazy(store: &SynopsisStore, path: &Path) -> Result<Option<SegmentHandle>> {
-        let blob_io = |e: std::io::Error| PdsError::InvalidParameter {
-            message: format!("store: reading segment blob {}: {e}", path.display()),
-        };
-        let file_len = vfs::path_len("recovery-read", path).map_err(blob_io)?;
-        if file_len < (HEADER_LEN + FOOTER_LEN) as u64 {
-            return Ok(None);
-        }
-        let tail = vfs::read_range(
-            "recovery-read",
-            path,
-            file_len - FOOTER_LEN as u64,
-            FOOTER_LEN,
-        )
-        .map_err(blob_io)?;
-        // No footer CRC+magic at the tail: not a v2 blob.  (A *corrupt* v2
-        // blob also lands here and falls back — the eager decode then
-        // reports the corruption precisely.)
-        let Ok(footer) = BlobFooter::decode(&tail) else {
-            return Ok(None);
-        };
-        // The footer is authentic (CRC over its fields), so from here on a
-        // mismatch is corruption, not version skew: fail loudly.
-        let body = (HEADER_LEN as u64)
-            .checked_add(u64::from(footer.meta_len))
-            .and_then(|v| v.checked_add(footer.syn_len))
-            .and_then(|v| v.checked_add(FOOTER_LEN as u64));
-        if body != Some(footer.total_len) || footer.total_len != file_len {
-            return Err(PdsError::InvalidParameter {
-                message: format!(
-                    "store: segment blob {} is {file_len} bytes but its footer describes \
-                     a {}-byte blob",
-                    path.display(),
-                    footer.total_len
-                ),
-            });
-        }
-        let prefix = vfs::read_range(
-            "recovery-read",
-            path,
-            0,
-            HEADER_LEN + footer.meta_len as usize,
-        )
-        .map_err(blob_io)?;
-        let meta = blob::decode_meta_block(&prefix, footer.meta_crc)?;
-        let inner = &store.inner;
-        Ok(Some(SegmentHandle::lazy(
-            meta,
-            BlobSource {
-                path: path.to_path_buf(),
-                syn_off: footer.synopsis_offset(),
-                syn_len: footer.syn_len as usize,
-                syn_crc: footer.syn_crc,
-                telemetry: Arc::clone(&inner.telemetry),
-                degraded: Arc::clone(&inner.degraded),
-                io_retries: inner.config.io_retries,
-                io_backoff_ms: inner.config.io_backoff_ms,
-            },
-        )))
-    }
-
-    /// The eager half of blob recovery: reads and fully decodes the blob
-    /// (v2 block-structured or the v1 `PDSG`+CRC layout) and returns the
-    /// pre-loaded handle plus the exact `PDSG` bytes to cache for
-    /// [`SynopsisStore::to_binary`].
-    fn open_blob_eager(path: &Path) -> Result<(SegmentHandle, Vec<u8>)> {
-        let mut bytes =
-            vfs::read("recovery-read", path).map_err(|e| PdsError::InvalidParameter {
-                message: format!("store: reading segment blob {}: {e}", path.display()),
-            })?;
-        if bytes.starts_with(&blob::BLOB_MAGIC) {
-            let (segment, meta) = blob::decode_blob(&bytes)?;
-            // decode_blob validated the footer geometry, so the synopsis
-            // block slice — exactly the PDSG bytes — is in bounds.
-            let footer = blob::decode_footer(&bytes)?;
-            let off = footer.synopsis_offset() as usize;
-            let pdsg = bytes
-                .get(off..off + footer.syn_len as usize)
-                .map(<[u8]>::to_vec)
-                .unwrap_or_default();
-            Ok((SegmentHandle::preloaded(meta, Arc::new(segment)), pdsg))
-        } else {
-            let segment = Segment::from_blob(&bytes)?;
-            // The v1 blob minus its CRC trailer is exactly the PDSG bytes;
-            // truncate in place rather than copying (startup path).
-            bytes.truncate(bytes.len().saturating_sub(4));
-            Ok((SegmentHandle::eager(Arc::new(segment)), bytes))
-        }
     }
 
     /// Validates (or, on first use, writes) the WAL directory's partition
@@ -1158,66 +871,22 @@ impl SynopsisStore {
             // A seal install (or a compaction round) can trigger the next
             // compaction round; it goes back on the queue so flush() keeps
             // waiting for the whole chain.
-            let follow_up = match task {
+            let outcome = match task {
                 Task::Seal(task) => {
-                    // Build AND durably commit (blob + manifest) before
-                    // touching the shard lock: the lock is held only for
-                    // the in-memory swap, never for file I/O or fsyncs.
                     // A degraded store skips the build entirely: the
                     // frozen records go back to the live memtable (still
                     // queryable) and the parked error reaches flush().
-                    let committed = inner
+                    let built = inner
                         .check_writable()
-                        .and_then(|()| Self::build_task(inner, &task))
-                        .and_then(|(segment, binary)| {
-                            let binary = Self::commit_durable(
-                                inner,
-                                task.partition,
-                                task.seq,
-                                &segment,
-                                binary,
-                            )?;
-                            Ok((segment, binary))
-                        });
-                    match committed {
-                        Ok((segment, binary)) => {
-                            let mut shard = inner.shards[task.partition]
-                                .write()
-                                .expect("shard lock poisoned");
-                            Self::install_in_memory(
-                                inner,
-                                &mut shard,
-                                task.partition,
-                                task.seq,
-                                segment,
-                                binary,
-                                task.wal_frozen.as_deref(),
-                            )
-                        }
-                        Err(e) => {
-                            // Build failure or a failed durable commit
-                            // (blob/manifest I/O): restore the frozen
-                            // records to the live memtable (they rejoin
-                            // ahead of any newer arrivals) and park the
-                            // error for flush().
-                            let mut shard = inner.shards[task.partition]
-                                .write()
-                                .expect("shard lock poisoned");
-                            Self::unfreeze(inner, &mut shard, task);
-                            drop(shard);
-                            park(e);
-                            None
-                        }
-                    }
+                        .and_then(|()| Self::build_task(inner, &task));
+                    Self::complete_seal(inner, None, task, built)
                 }
-                Task::Compact(task) => match Self::run_compact_task(inner, task) {
-                    Ok(next) => next,
-                    Err(e) => {
-                        park(e);
-                        None
-                    }
-                },
+                Task::Compact(task) => Self::run_compact_task(inner, task),
             };
+            let follow_up = outcome.unwrap_or_else(|e| {
+                park(e);
+                None
+            });
             let mut state = queue.state.lock().expect("seal queue poisoned");
             if let Some(next) = follow_up {
                 state.pending += 1;
@@ -1268,21 +937,6 @@ impl SynopsisStore {
         self.inner.shards[p].write().expect("shard lock poisoned")
     }
 
-    /// Shared read access to partition `p`'s shard, recovering from lock
-    /// poisoning.  Poison recovery is sound for readers: a writer that
-    /// panicked mid-mutation left the shard in whatever state its last
-    /// completed assignment produced, and every shard field is a valid
-    /// value at every assignment boundary (memtables and segment vectors
-    /// are replaced wholesale, never patched in place) — so one crashed
-    /// writer must not wedge every query forever.  Returns `None` when `p`
-    /// is out of range, which readers treat as an empty partition.
-    fn read_shard(&self, p: usize) -> Option<RwLockReadGuard<'_, Shard>> {
-        self.inner
-            .shards
-            .get(p)
-            .map(|s| s.read().unwrap_or_else(|e| e.into_inner()))
-    }
-
     /// A point-in-time copy of partition `p`'s live memtable.
     ///
     /// # Panics
@@ -1307,61 +961,15 @@ impl SynopsisStore {
     ///
     /// Panics when `p >= num_partitions()` (like slice indexing).
     pub fn segments(&self, p: usize) -> Vec<Segment> {
-        let handles: Vec<Arc<SegmentHandle>> = self.inner.shards[p]
+        let handles = self.inner.shards[p]
             .read()
             .unwrap_or_else(|e| e.into_inner())
-            .segments
-            .iter()
-            .map(|s| Arc::clone(&s.handle))
-            .collect();
+            .handles();
         handles
             .iter()
             .filter_map(|h| h.load().ok())
             .map(|segment| (*segment).clone())
             .collect()
-    }
-
-    /// Point-in-time counters.  Poison-recovering (see `read_shard`): a
-    /// panicked writer cannot take the stats endpoint down with it.
-    pub fn stats(&self) -> StoreStats {
-        let mut live_records = 0u64;
-        let mut segments = 0usize;
-        for shard in &self.inner.shards {
-            let shard = shard.read().unwrap_or_else(|e| e.into_inner());
-            live_records += shard.memtable.len() as u64;
-            // In-flight frozen memtables are still unsealed records.
-            live_records += shard
-                .frozen
-                .iter()
-                .map(|(_, m)| m.len() as u64)
-                .sum::<u64>();
-            segments += shard.segments.len();
-        }
-        StoreStats {
-            ingested_records: self.inner.ingested.load(Ordering::Relaxed),
-            live_records,
-            seals: self.inner.seals.load(Ordering::Relaxed),
-            segments,
-            split_tuples: self.inner.split_tuples.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The store's Prometheus-style text exposition: every telemetry
-    /// series (ingest/freeze/WAL/seal/compaction counters, latency
-    /// histograms, the recovery gauge) plus the [`SynopsisStore::stats`]
-    /// counters rendered as series.  Total on the panic-free serving
-    /// contract — a scrape endpoint can expose this path directly; with
-    /// [`StoreConfig::telemetry`] off the series exist but stay at zero
-    /// (and `pds_store_telemetry_enabled` reads 0).
-    pub fn render_metrics(&self) -> String {
-        self.inner.telemetry.render(&self.stats())
-    }
-
-    /// The store's retained telemetry events (seal installs, compaction
-    /// commits, WAL rotations, recovery), oldest first, one decoded line
-    /// per event.  Panic-free; empty with telemetry off.
-    pub fn render_events(&self) -> Vec<String> {
-        self.inner.telemetry.render_events()
     }
 
     /// The cause that flipped this store into degraded read-only mode, or
@@ -1729,10 +1337,8 @@ impl SynopsisStore {
         }))
     }
 
-    /// Builds the configured synopsis segment from a frozen memtable —
-    /// and, on a durable store, its `PDSG` encoding (computed here, off
-    /// the shard lock, so the install only does file I/O).
-    fn build_task(inner: &StoreInner, task: &SealTask) -> Result<(Segment, Option<Vec<u8>>)> {
+    /// Builds the configured synopsis segment from a frozen memtable.
+    fn build_task(inner: &StoreInner, task: &SealTask) -> Result<Segment> {
         crashpoint::reached("frozen-pre-build");
         let sw = inner.telemetry.maybe_start();
         let relation = task.memtable.to_relation()?;
@@ -1744,33 +1350,29 @@ impl SynopsisStore {
             inner.config.synopsis,
             budget,
         )?;
-        let binary = match inner.durable {
-            Some(_) => Some(segment.to_binary()?),
-            None => None,
-        };
         inner.telemetry.record_seal_build(sw);
-        Ok((segment, binary))
+        Ok(segment)
     }
 
     /// Publishes a segment's durable blob — the block-structured `PDSB`
     /// encoding, self-framed by its footer and per-block CRCs — as
     /// `seg-<p>-<seq>.bin` via an atomic tmp-rename.  Both halves are
     /// idempotent (staging re-creates the tmp from scratch, rename/dir-sync
-    /// re-issue cleanly), so each gets the policy's bounded retry.  On
-    /// failure, the faulting site (`blob-write` or `blob-publish`) is
-    /// returned alongside the error so the caller can degrade with an
-    /// accurate label.
+    /// re-issue cleanly), so each gets the policy's bounded retry.  A
+    /// failure that outlives it degrades the store under the faulting
+    /// site's label (`blob-write` or `blob-publish`).
     fn write_segment_blob(
+        inner: &StoreInner,
         durable: &Durable,
-        policy: &IoPolicy,
-        sync: WalSync,
         partition: usize,
         seq: u64,
         blob: &[u8],
-    ) -> std::result::Result<(), (&'static str, PdsError)> {
-        let blob_io = |context: &str, e: std::io::Error| PdsError::InvalidParameter {
-            message: format!("store: {context}: {e}"),
+    ) -> Result<()> {
+        let fail = |site: &str, context: &str, e: std::io::Error| {
+            let message = format!("store: {context}: {e}");
+            inner.degrade(site, PdsError::InvalidParameter { message })
         };
+        let (policy, sync) = (inner.io_policy(), inner.config.wal_sync);
         let name = segment_blob_name(partition, seq);
         let tmp = durable.dir.join(format!("{name}.tmp"));
         policy
@@ -1783,13 +1385,13 @@ impl SynopsisStore {
                 }
                 Ok(())
             })
-            .map_err(|e| ("blob-write", blob_io("staging a segment blob", e)))?;
+            .map_err(|e| fail("blob-write", "staging a segment blob", e))?;
         crashpoint::reached("mid-blob-publish");
         policy
             .run("blob-publish", || {
                 vfs::rename("blob-publish", &tmp, &durable.dir.join(&name))
             })
-            .map_err(|e| ("blob-publish", blob_io("publishing a segment blob", e)))?;
+            .map_err(|e| fail("blob-publish", "publishing a segment blob", e))?;
         if sync == WalSync::Fsync {
             // The manifest entry written next is the seal's commit point:
             // the blob's directory entry must hit the device first, or a
@@ -1798,82 +1400,56 @@ impl SynopsisStore {
                 .run("blob-publish", || {
                     vfs::sync_dir("blob-publish", &durable.dir)
                 })
-                .map_err(|e| ("blob-publish", blob_io("fsyncing the store directory", e)))?;
+                .map_err(|e| fail("blob-publish", "fsyncing the store directory", e))?;
         }
         Ok(())
     }
 
-    /// Installs a built segment at its sequence position: on a durable
-    /// store its blob is published and the manifest records it (the seal's
-    /// commit point) **before** the frozen WAL file retires; then the
-    /// frozen memtable it was built from is dropped (the segment now
-    /// carries the mass).  Returns the compaction round the install
-    /// triggered, if the size-tiered policy found a full tier.
-    /// The durable half of an install: publishes the blob and the manifest
-    /// record (the seal's commit point).  Needs **no shard lock** — the
-    /// background path runs it before acquiring one, so seal commits never
-    /// stall ingest or queries on the shard; returns the bytes to cache.
+    /// The durable half of an install: encodes the segment's blob once,
+    /// publishes it and appends the manifest record (the seal's commit
+    /// point) — all **before** the frozen WAL file retires.  Needs **no
+    /// shard lock**: the off-lock paths run it before acquiring one, so
+    /// seal commits never stall ingest or queries on the shard.  A no-op
+    /// (past its crash point) on a store without a durable directory.
     fn commit_durable(
         inner: &StoreInner,
         partition: usize,
         seq: u64,
         segment: &Segment,
-        binary: Option<Vec<u8>>,
-    ) -> Result<Option<Arc<Vec<u8>>>> {
+    ) -> Result<()> {
         crashpoint::reached("built-pre-install");
-        match (&inner.durable, binary) {
-            (Some(durable), binary) => {
-                // The None arm only happens for callers that skipped the
-                // off-lock encode; keep them correct.
-                let binary = match binary {
-                    Some(b) => b,
-                    None => segment.to_binary()?,
-                };
-                // The disk blob is the block-structured v2 encoding; the
-                // in-memory cache stays the raw PDSG bytes (the store
-                // binary format embeds those directly).
-                let blob = segment.to_blob()?;
-                let sw = inner.telemetry.maybe_start();
-                let policy = inner.io_policy();
-                Self::write_segment_blob(
-                    durable,
-                    &policy,
-                    inner.config.wal_sync,
-                    partition,
-                    seq,
-                    &blob,
-                )
-                .map_err(|(site, e)| inner.degrade(site, e))?;
-                durable
-                    .manifest
-                    .lock()
-                    .expect("manifest lock poisoned")
-                    .install(partition, seq)
-                    .map_err(|e| inner.degrade("manifest-install", e))?;
-                inner.telemetry.record_seal_commit(sw, blob.len() as u64);
-                crashpoint::reached("installed-pre-wal-retire");
-                Ok(Some(Arc::new(binary)))
-            }
-            (None, binary) => Ok(binary.map(Arc::new)),
-        }
+        let Some(durable) = &inner.durable else {
+            return Ok(());
+        };
+        let blob = segment.to_blob()?;
+        let sw = inner.telemetry.maybe_start();
+        Self::write_segment_blob(inner, durable, partition, seq, &blob)?;
+        durable
+            .manifest
+            .lock()
+            .expect("manifest lock poisoned")
+            .install(partition, seq)
+            .map_err(|e| inner.degrade("manifest-install", e))?;
+        inner.telemetry.record_seal_commit(sw, blob.len() as u64);
+        crashpoint::reached("installed-pre-wal-retire");
+        Ok(())
     }
 
     /// The in-memory half of an install, run under the shard write lock
     /// after [`SynopsisStore::commit_durable`]: retires the frozen WAL
     /// file, swaps the segment in at its sequence position, drops the
     /// frozen memtable (the segment now carries the mass) and evaluates
-    /// the compaction policy.  Infallible by design — the commit already
-    /// happened, so nothing past this point may lose it.
+    /// the compaction policy, returning the round a full size tier
+    /// reserved.  Infallible by design — the commit already happened, so
+    /// nothing past this point may lose it.
     fn install_in_memory(
         inner: &StoreInner,
         shard: &mut Shard,
-        partition: usize,
-        seq: u64,
+        task: &SealTask,
         segment: Segment,
-        binary: Option<Arc<Vec<u8>>>,
-        wal_frozen: Option<&Path>,
     ) -> Option<CompactTask> {
-        if let Some(frozen) = wal_frozen {
+        let (partition, seq) = (task.partition, task.seq);
+        if let Some(frozen) = &task.wal_frozen {
             // The seal is already manifest-committed, so a failed retire
             // costs nothing but disk space (the covered log is skipped at
             // reopen); count it rather than drop it.
@@ -1884,15 +1460,7 @@ impl SynopsisStore {
         inner
             .telemetry
             .record_installed(partition, seq, segment.records());
-        let pos = shard.segments.partition_point(|s| s.seq < seq);
-        shard.segments.insert(
-            pos,
-            SealedSegment {
-                seq,
-                handle: Arc::new(SegmentHandle::eager(Arc::new(segment))),
-                binary,
-            },
-        );
+        shard.install(seq, segment);
         shard.frozen.retain(|&(s, _)| s != seq);
         // A structural commit, made visible under this shard's write lock:
         // invalidates the merge cache and fences snapshot-view captures.
@@ -1900,21 +1468,41 @@ impl SynopsisStore {
         Self::maybe_compaction(inner, shard, partition)
     }
 
-    /// Both install halves back to back, for callers already holding the
-    /// shard write lock (the inline seal paths).
-    fn install_segment(
+    /// Completes a frozen task — the one install sequence of every seal
+    /// path: durable commit (blob + manifest), then the in-memory swap
+    /// under the shard write lock.  The off-lock paths (background workers,
+    /// [`SynopsisStore::seal_all`]'s pool branch) pass `held: None` and the
+    /// lock is taken only for the swap, never for file I/O; the inline
+    /// path passes the guard it already holds.  A failed build or commit
+    /// never loses records: they rejoin the live memtable (ahead of any
+    /// newer arrivals) and the error surfaces.
+    fn complete_seal(
         inner: &StoreInner,
-        shard: &mut Shard,
-        partition: usize,
-        seq: u64,
-        segment: Segment,
-        binary: Option<Vec<u8>>,
-        wal_frozen: Option<&Path>,
+        held: Option<&mut Shard>,
+        task: SealTask,
+        built: Result<Segment>,
     ) -> Result<Option<CompactTask>> {
-        let binary = Self::commit_durable(inner, partition, seq, &segment, binary)?;
-        Ok(Self::install_in_memory(
-            inner, shard, partition, seq, segment, binary, wal_frozen,
-        ))
+        let committed = built.and_then(|segment| {
+            Self::commit_durable(inner, task.partition, task.seq, &segment)?;
+            Ok(segment)
+        });
+        let mut guard;
+        let shard = match held {
+            Some(shard) => shard,
+            None => {
+                guard = inner.shards[task.partition]
+                    .write()
+                    .expect("shard lock poisoned");
+                &mut *guard
+            }
+        };
+        match committed {
+            Ok(segment) => Ok(Self::install_in_memory(inner, shard, &task, segment)),
+            Err(e) => {
+                Self::unfreeze(inner, shard, task);
+                Err(e)
+            }
+        }
     }
 
     /// Evaluates the size-tiered policy after an install (or a completed
@@ -1988,29 +1576,10 @@ impl SynopsisStore {
                 sealer.submit(Task::Seal(task));
                 Ok((true, None))
             }
-            None => match Self::build_task(&self.inner, &task) {
-                Ok((segment, binary)) => {
-                    match Self::install_segment(
-                        &self.inner,
-                        shard,
-                        p,
-                        task.seq,
-                        segment,
-                        binary,
-                        task.wal_frozen.as_deref(),
-                    ) {
-                        Ok(next) => Ok((true, next)),
-                        Err(e) => {
-                            Self::unfreeze(&self.inner, shard, task);
-                            Err(e)
-                        }
-                    }
-                }
-                Err(e) => {
-                    Self::unfreeze(&self.inner, shard, task);
-                    Err(e)
-                }
-            },
+            None => {
+                let built = Self::build_task(&self.inner, &task);
+                Self::complete_seal(&self.inner, Some(shard), task, built).map(|next| (true, next))
+            }
         }
     }
 
@@ -2059,35 +1628,9 @@ impl SynopsisStore {
                 let mut first_error = None;
                 let mut compactions = Vec::new();
                 for (task, result) in built {
-                    let installed = result.and_then(|(segment, binary)| {
-                        // Commit durably before the lock; hold it only for
-                        // the in-memory swap.
-                        let binary = Self::commit_durable(
-                            &self.inner,
-                            task.partition,
-                            task.seq,
-                            &segment,
-                            binary,
-                        )?;
-                        let mut shard = self.write_shard(task.partition);
-                        Ok(Self::install_in_memory(
-                            &self.inner,
-                            &mut shard,
-                            task.partition,
-                            task.seq,
-                            segment,
-                            binary,
-                            task.wal_frozen.as_deref(),
-                        ))
-                    });
-                    match installed {
+                    match Self::complete_seal(&self.inner, None, task, result) {
                         Ok(next) => compactions.extend(next),
                         Err(e) => {
-                            // A failed build (or a failed durable commit)
-                            // never loses records: they rejoin the live
-                            // memtable.
-                            let mut shard = self.write_shard(task.partition);
-                            Self::unfreeze(&self.inner, &mut shard, task);
                             first_error.get_or_insert(e);
                         }
                     }
@@ -2101,41 +1644,10 @@ impl SynopsisStore {
         }
     }
 
-    /// The summed piecewise-constant summary of partition `p`'s sealed
-    /// segments (`None` when the partition has no segments or `p` is out of
-    /// range).  Poison-recovering (see `read_shard`).  Handles are cloned
-    /// out of the read guard first, so a lazily-backed segment's block
-    /// read never runs under a shard lock; an unreadable block fails the
-    /// merge (which must be complete or an error, never silently partial).
-    fn partition_pieces(&self, p: usize) -> Result<Option<Vec<Piece>>> {
-        let handles: Vec<Arc<SegmentHandle>> = {
-            let Some(shard) = self.read_shard(p) else {
-                return Ok(None);
-            };
-            shard
-                .segments
-                .iter()
-                .map(|s| Arc::clone(&s.handle))
-                .collect()
-        };
-        let mut layers: Vec<Vec<Piece>> = Vec::with_capacity(handles.len());
-        for handle in &handles {
-            layers.push(handle.load()?.pieces());
-        }
-        match layers.len() {
-            0 => Ok(None),
-            1 => Ok(layers.pop()),
-            _ => sum_pieces(&layers).map(Some),
-        }
-    }
-
     /// Builds a compaction round's merged segment from the cloned input
     /// handles — the expensive half (piece summing + the merge DP), run
     /// with **no lock held**.
-    fn build_compacted(
-        inner: &StoreInner,
-        task: &CompactTask,
-    ) -> Result<(Segment, Option<Vec<u8>>)> {
+    fn build_compacted(inner: &StoreInner, task: &CompactTask) -> Result<Segment> {
         // Lazily-backed inputs load here, with no lock held; a block that
         // cannot be read fails the round (the inputs stay authoritative)
         // rather than merging a silently incomplete set.
@@ -2162,43 +1674,25 @@ impl SynopsisStore {
             }
         };
         let records = task.inputs.iter().map(|(_, h)| h.records()).sum();
-        let segment = Segment::new(start, records, synopsis)?;
-        let binary = match inner.durable {
-            Some(_) => Some(segment.to_binary()?),
-            None => None,
-        };
-        Ok((segment, binary))
+        Segment::new(start, records, synopsis)
     }
 
-    /// Runs one reserved compaction round end to end: merge off-lock, blob
-    /// publish, then the **short write lock** — remove the inputs, insert
-    /// the output at its reserved sequence, commit through the manifest
-    /// (atomic publish retiring the superseded blobs) and re-evaluate the
-    /// policy.  Returns the follow-up round, if the swap filled another
-    /// tier.  Every exit clears the partition's `compacting` flag.
-    fn run_compact_task(inner: &StoreInner, task: CompactTask) -> Result<Option<CompactTask>> {
-        let sw = inner.telemetry.maybe_start();
-        let clear_flag = || {
-            inner.shards[task.partition]
-                .write()
-                .expect("shard lock poisoned")
-                .compacting = false;
-        };
+    /// The fallible half of a compaction round, run with **no lock held**:
+    /// merge, stage the output blob, then commit the replacement through
+    /// the manifest (same discipline as seal installs).  A crash before the
+    /// publish leaves the inputs authoritative and the output blob an
+    /// orphan (swept at open); a crash after it reopens compacted.  Returns
+    /// the merged segment and its blob size.
+    fn commit_compaction(
+        inner: &StoreInner,
+        task: &CompactTask,
+        input_seqs: &[u64],
+    ) -> Result<(Segment, u64)> {
         // A degraded store runs no rounds: the inputs stay authoritative
-        // and queryable.  The reserved round still clears its flag.
-        if let Err(e) = inner.check_writable() {
-            clear_flag();
-            return Err(e);
-        }
-        let (merged, binary) = match Self::build_compacted(inner, &task) {
-            Ok(built) => built,
-            Err(e) => {
-                clear_flag();
-                return Err(e);
-            }
-        };
+        // and queryable.
+        inner.check_writable()?;
+        let merged = Self::build_compacted(inner, task)?;
         crashpoint::reached("mid-compaction-swap");
-        let input_seqs: Vec<u64> = task.inputs.iter().map(|&(seq, _)| seq).collect();
         // The reservation serialises rounds per partition and seals only
         // add segments, so the inputs must still be present; anything else
         // is a logic error worth surfacing (checked before the durable
@@ -2211,8 +1705,6 @@ impl SynopsisStore {
                 .iter()
                 .any(|seq| !shard.segments.iter().any(|s| s.seq == *seq))
             {
-                drop(shard);
-                clear_flag();
                 return Err(PdsError::InvalidParameter {
                     message: format!(
                         "compaction inputs of partition {} changed under a reserved round",
@@ -2221,77 +1713,52 @@ impl SynopsisStore {
                 });
             }
         }
-        // Durable: stage the output blob, then commit the replacement
-        // through the manifest — all **before** the shard write lock, so
-        // the lock is held only for the in-memory swap (same discipline as
-        // seal installs).  A crash before the publish leaves the inputs
-        // authoritative and the output blob an orphan (swept at open); a
-        // crash after it reopens compacted.
-        let mut blob_bytes = 0u64;
-        if let Some(durable) = &inner.durable {
-            let policy = inner.io_policy();
-            let blob = match merged.to_blob() {
-                Ok(blob) => blob,
-                Err(e) => {
-                    clear_flag();
-                    return Err(e);
-                }
-            };
-            blob_bytes = blob.len() as u64;
-            if let Err((site, e)) = Self::write_segment_blob(
-                durable,
-                &policy,
-                inner.config.wal_sync,
-                task.partition,
-                task.out_seq,
-                &blob,
-            ) {
-                clear_flag();
-                return Err(inner.degrade(site, e));
-            }
-            let committed = durable
-                .manifest
-                .lock()
-                .expect("manifest lock poisoned")
-                .replace(task.partition, &input_seqs, task.out_seq);
-            if let Err(e) = committed {
-                // The manifest still names the inputs; drop the orphan
-                // output blob (counted on failure, and swept again at the
-                // next open either way) and surface the error.
-                policy.cleanup(
-                    "cleanup",
-                    vfs::remove_file(
-                        "cleanup",
-                        &durable
-                            .dir
-                            .join(segment_blob_name(task.partition, task.out_seq)),
-                    ),
-                );
-                clear_flag();
-                return Err(inner.degrade("manifest-replace", e));
-            }
-        }
-        // Short write lock: swap the output in, release, then delete the
-        // superseded blobs (the manifest no longer names them).
-        let next = {
-            let mut shard = inner.shards[task.partition]
-                .write()
-                .expect("shard lock poisoned");
-            shard.segments.retain(|s| !input_seqs.contains(&s.seq));
-            let pos = shard.segments.partition_point(|s| s.seq < task.out_seq);
-            shard.segments.insert(
-                pos,
-                SealedSegment {
-                    seq: task.out_seq,
-                    handle: Arc::new(SegmentHandle::eager(Arc::new(merged))),
-                    binary: binary.map(Arc::new),
-                },
-            );
-            shard.compacting = false;
-            // The swap is a structural commit (see `StoreInner::version`).
-            inner.version.fetch_add(1, Ordering::SeqCst);
-            Self::maybe_compaction(inner, &mut shard, task.partition)
+        let Some(durable) = &inner.durable else {
+            return Ok((merged, 0));
         };
+        let blob = merged.to_blob()?;
+        Self::write_segment_blob(inner, durable, task.partition, task.out_seq, &blob)?;
+        let committed = durable
+            .manifest
+            .lock()
+            .expect("manifest lock poisoned")
+            .replace(task.partition, input_seqs, task.out_seq);
+        if let Err(e) = committed {
+            // The manifest still names the inputs; drop the orphan output
+            // blob (counted on failure, and swept again at the next open
+            // either way) and surface the error.
+            let orphan = durable
+                .dir
+                .join(segment_blob_name(task.partition, task.out_seq));
+            inner
+                .io_policy()
+                .cleanup("cleanup", vfs::remove_file("cleanup", &orphan));
+            return Err(inner.degrade("manifest-replace", e));
+        }
+        Ok((merged, blob.len() as u64))
+    }
+
+    /// Runs one reserved compaction round end to end: the off-lock
+    /// [`SynopsisStore::commit_compaction`], then the **short write lock**
+    /// — remove the inputs, insert the output at its reserved sequence and
+    /// re-evaluate the policy — then delete the superseded blobs.  Returns
+    /// the follow-up round, if the swap filled another tier.  Every exit
+    /// clears the partition's `compacting` flag.
+    fn run_compact_task(inner: &StoreInner, task: CompactTask) -> Result<Option<CompactTask>> {
+        let sw = inner.telemetry.maybe_start();
+        let input_seqs: Vec<u64> = task.inputs.iter().map(|&(seq, _)| seq).collect();
+        let committed = Self::commit_compaction(inner, &task, &input_seqs);
+        let mut shard = inner.shards[task.partition]
+            .write()
+            .expect("shard lock poisoned");
+        shard.compacting = false;
+        let (merged, blob_bytes) = committed?;
+        shard.segments.retain(|s| !input_seqs.contains(&s.seq));
+        shard.install(task.out_seq, merged);
+        // The swap is a structural commit (see `StoreInner::version`).
+        inner.version.fetch_add(1, Ordering::SeqCst);
+        let next = Self::maybe_compaction(inner, &mut shard, task.partition);
+        drop(shard);
         inner.telemetry.record_compaction(
             sw,
             task.partition,
@@ -2305,13 +1772,8 @@ impl SynopsisStore {
             // sweep at the next open removes the leftover).
             let policy = inner.io_policy();
             for seq in &input_seqs {
-                policy.cleanup(
-                    "cleanup",
-                    vfs::remove_file(
-                        "cleanup",
-                        &durable.dir.join(segment_blob_name(task.partition, *seq)),
-                    ),
-                );
+                let superseded = durable.dir.join(segment_blob_name(task.partition, *seq));
+                policy.cleanup("cleanup", vfs::remove_file("cleanup", &superseded));
             }
         }
         Ok(next)
@@ -2358,272 +1820,6 @@ impl SynopsisStore {
             self.compact_partition(p)
         });
         results.into_iter().collect()
-    }
-
-    /// Recombines the sealed per-partition synopses into one global
-    /// `b`-bucket histogram via the partition-merge DP: the candidate cut
-    /// points are exactly the partition/bucket boundaries, and partitions
-    /// with no sealed data contribute a zero run.  Piece extraction runs one
-    /// pool task per partition.  Live memtable records are **not** included
-    /// — seal first for a full snapshot.
-    pub fn merge_global(&self, b: usize) -> Result<Histogram> {
-        let sw = self.inner.telemetry.maybe_start();
-        let merged = self.merge_global_core(b);
-        self.inner.telemetry.record_query(QueryOp::MergeGlobal, sw);
-        merged
-    }
-
-    /// The untimed body of [`SynopsisStore::merge_global`] (the public
-    /// wrapper only adds the query-latency observation).
-    ///
-    /// Memoised: the result is cached keyed on `(version, b)` (see
-    /// `StoreInner::version`), so repeated merges over a quiet store are
-    /// one mutex lock and a histogram clone — `O(b)`, not a re-run of the
-    /// merge DP.  Any seal install or compaction swap bumps the version
-    /// and the next merge recomputes; the cached value is always exactly
-    /// what the recompute would produce (pinned by the
-    /// `store_read_path` suite).
-    fn merge_global_core(&self, b: usize) -> Result<Histogram> {
-        if b == 0 {
-            return Err(PdsError::InvalidParameter {
-                message: "merge_global needs a bucket budget of at least 1".into(),
-            });
-        }
-        // Read the version BEFORE extracting pieces: a structural commit
-        // racing the computation can only make the stamp stale (a needless
-        // later recompute), never a wrong cache hit.
-        let v0 = self.inner.version.load(Ordering::SeqCst);
-        {
-            let cache = self
-                .inner
-                .merge_cache
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            if let Some(entry) = cache.as_ref() {
-                if entry.version == v0 && entry.b == b {
-                    self.inner.telemetry.record_merge_cache(true);
-                    return Ok(entry.histogram.clone());
-                }
-            }
-        }
-        self.inner.telemetry.record_merge_cache(false);
-        let per_partition = pool::parallel_map((0..self.num_partitions()).collect(), |p| {
-            self.partition_pieces(p)
-        });
-        let mut pieces: Vec<Piece> = Vec::new();
-        for (p, extracted) in per_partition.into_iter().enumerate() {
-            match extracted? {
-                Some(mut summed) => pieces.append(&mut summed),
-                None => {
-                    let (_, width) = self.inner.config.partitions.range(p);
-                    pieces.push(Piece { width, value: 0.0 });
-                }
-            }
-        }
-        // More buckets than candidate cut ranges would silently clamp in
-        // the DP and hand back fewer buckets than asked for; surface the
-        // bad budget instead of a degenerate histogram.
-        if b > pieces.len() {
-            return Err(PdsError::InvalidParameter {
-                message: format!(
-                    "merge budget {b} exceeds the {} available synopsis piece(s); \
-                     seal more data or lower b",
-                    pieces.len()
-                ),
-            });
-        }
-        let merged = optimal_piecewise_histogram(&pieces, b)?;
-        *self
-            .inner
-            .merge_cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = Some(MergeCache {
-            version: v0,
-            b,
-            histogram: merged.clone(),
-        });
-        Ok(merged)
-    }
-
-    /// Estimated expected total frequency over the **global** inclusive
-    /// item range `[lo, hi]`: sealed segments answer from their synopses,
-    /// live memtables from their exact running expectations.  Read-locks
-    /// only the shards overlapping the range.
-    ///
-    /// Total on the panic-free serving contract: a range lying (partly or
-    /// wholly) outside the domain is clamped to it, an empty-domain store
-    /// answers 0.0, and shard-lock poisoning is recovered from (see
-    /// `read_shard`) — a network front-end can expose this path directly.
-    pub fn range_estimate(&self, lo: usize, hi: usize) -> f64 {
-        let sw = self.inner.telemetry.maybe_start();
-        let total = self.range_estimate_core(lo, hi);
-        self.inner.telemetry.record_query(QueryOp::Range, sw);
-        total
-    }
-
-    /// The untimed body of [`SynopsisStore::range_estimate`], shared with
-    /// [`SynopsisStore::estimate`] so a point query records one
-    /// `op="estimate"` sample, never an extra `op="range_estimate"` one.
-    /// Same panic-free serving contract as the public wrapper.
-    fn range_estimate_core(&self, lo: usize, hi: usize) -> f64 {
-        let Some((lo, hi)) = clamp_range(self.n(), lo, hi) else {
-            return 0.0;
-        };
-        // `lo <= hi < n`, so both lookups are in-domain; degrade to an
-        // empty answer rather than panic if that invariant ever breaks.
-        let (Ok(first), Ok(last)) = (
-            self.inner.config.partitions.partition_of(lo),
-            self.inner.config.partitions.partition_of(hi),
-        ) else {
-            return 0.0;
-        };
-        let prune = self.inner.config.prune;
-        let mut visited = 0u64;
-        let mut pruned = 0u64;
-        let mut total = 0.0;
-        for p in first..=last {
-            // Capture the shard's state under a brief read guard, then sum
-            // off-guard: a lazily-backed handle's first touch reads its
-            // synopsis block from disk, which must never run under a shard
-            // lock.  The summation order is load-bearing — segments in
-            // install order, then the live memtable, then each frozen
-            // memtable individually (f64 addition is order- and
-            // grouping-sensitive) — so the pruned, lazy and eager paths all
-            // answer bitwise the same value (see `StoreConfig::prune` for
-            // why skipping a fenced-out segment is exact).
-            let Some(shard) = self.read_shard(p) else {
-                continue;
-            };
-            let handles: Vec<Arc<SegmentHandle>> = shard
-                .segments
-                .iter()
-                .map(|s| Arc::clone(&s.handle))
-                .collect();
-            let live = shard.memtable.range_sum(lo, hi);
-            // A memtable frozen for an in-flight background seal still
-            // carries its mass until the segment installs.
-            let frozen_sums: Vec<f64> = shard
-                .frozen
-                .iter()
-                .map(|(_, m)| m.range_sum(lo, hi))
-                .collect();
-            drop(shard);
-            for handle in &handles {
-                if prune && !handle.may_overlap(lo, hi) {
-                    pruned += 1;
-                    continue;
-                }
-                visited += 1;
-                total += handle.range_sum(lo, hi);
-            }
-            total += live;
-            for sum in frozen_sums {
-                total += sum;
-            }
-        }
-        self.inner.telemetry.record_scan(visited, pruned);
-        total
-    }
-
-    /// The estimated expected frequency of one item.
-    pub fn estimate(&self, item: usize) -> f64 {
-        let sw = self.inner.telemetry.maybe_start();
-        let value = self.range_estimate_core(item, item);
-        self.inner.telemetry.record_query(QueryOp::Point, sw);
-        value
-    }
-
-    /// An immutable point-in-time view of the whole store for serving
-    /// queries: per partition, the `Arc`-cloned sealed-segment handles, the
-    /// `Arc`-cloned frozen memtables and a copy of the live memtable, all
-    /// captured under one brief read lock per shard (poison-recovering,
-    /// see `read_shard`).  The view answers [`SnapshotView::range_estimate`]
-    /// with **bitwise** the value the store itself would have answered at
-    /// capture time, holds no locks, and is unaffected by later ingest —
-    /// a network front-end can serve from it without ever holding a shard
-    /// lock across I/O.
-    pub fn snapshot_view(&self) -> SnapshotView {
-        let sw = self.inner.telemetry.maybe_start();
-        let view = self.snapshot_view_core();
-        self.inner.telemetry.record_query(QueryOp::Snapshot, sw);
-        view
-    }
-
-    /// The untimed body of [`SynopsisStore::snapshot_view`].
-    ///
-    /// Consistency: capturing shard by shard under per-shard read locks can
-    /// interleave with a concurrent structural commit and observe partition
-    /// `p` from *before* it and partition `q` from *after* it — a torn
-    /// view (historically possible; now excluded).  The capture runs an
-    /// optimistic loop against the store-wide structural version counter:
-    /// read `v0`, capture every shard, re-read `v1` — equal versions prove
-    /// no seal install or compaction swap landed inside the capture
-    /// window, so the captured parts form one consistent cut.  Under
-    /// sustained structural churn the loop falls back (after a bounded
-    /// number of retries) to holding **all** shard read locks at once,
-    /// acquired in ascending partition order: a capture that is consistent
-    /// by construction and merely delays concurrent installs briefly.
-    fn snapshot_view_core(&self) -> SnapshotView {
-        const CAPTURE_RETRIES: usize = 8;
-        for _ in 0..CAPTURE_RETRIES {
-            let v0 = self.inner.version.load(Ordering::SeqCst);
-            let parts = self.capture_parts();
-            let v1 = self.inner.version.load(Ordering::SeqCst);
-            if v0 == v1 {
-                return self.view_from(parts);
-            }
-        }
-        // Fallback: with every shard read-locked for the whole capture no
-        // structural commit can interleave, so the cut is consistent.
-        let guards: Vec<_> = self
-            .inner
-            .shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(|e| e.into_inner()))
-            .collect();
-        let parts = guards.iter().map(|g| Self::capture_one(g)).collect();
-        drop(guards);
-        self.view_from(parts)
-    }
-
-    /// Captures one shard's contents as a [`ViewPartition`]: `Arc` clones
-    /// for the segment handles and frozen memtables, one live-memtable
-    /// copy.  No I/O, no allocation proportional to data volume.
-    fn capture_one(shard: &Shard) -> ViewPartition {
-        ViewPartition {
-            segments: shard
-                .segments
-                .iter()
-                .map(|s| Arc::clone(&s.handle))
-                .collect(),
-            memtable: shard.memtable.clone(),
-            frozen: shard.frozen.iter().map(|(_, m)| Arc::clone(m)).collect(),
-        }
-    }
-
-    /// Captures every shard one at a time under brief per-shard read
-    /// locks.  The caller must validate cross-shard consistency (see
-    /// `snapshot_view_core`) — a single pass on its own can tear.
-    fn capture_parts(&self) -> Vec<ViewPartition> {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| {
-                let shard = s.read().unwrap_or_else(|e| e.into_inner());
-                Self::capture_one(&shard)
-            })
-            .collect()
-    }
-
-    /// Wraps captured parts into a [`SnapshotView`], stamping the store's
-    /// partition spec and prune knob so the view answers queries exactly
-    /// as the store would have at capture time.
-    fn view_from(&self, parts: Vec<ViewPartition>) -> SnapshotView {
-        SnapshotView {
-            partitions: self.inner.config.partitions.clone(),
-            prune: self.inner.config.prune,
-            parts,
-        }
     }
 
     /// Serialises the sealed state into the compact binary format.  Live
@@ -2677,32 +1873,18 @@ impl SynopsisStore {
         w.put_varint(self.inner.split_tuples.load(Ordering::Relaxed));
         for shard in &self.inner.shards {
             // Capture the handles under a brief read guard, then encode
-            // off-guard: the cold fallback below may lazily load a
+            // off-guard: a reopened segment's first touch reads its
             // synopsis block from disk, which must never run under a
             // shard lock.
-            // A segment's handle plus its cached install-time blob bytes.
-            type CapturedBlob = (Arc<SegmentHandle>, Option<Arc<Vec<u8>>>);
-            let sealed: Vec<CapturedBlob> = {
+            let sealed = {
                 let shard = shard.read().unwrap_or_else(|e| e.into_inner());
-                shard
-                    .segments
-                    .iter()
-                    .map(|s| (Arc::clone(&s.handle), s.binary.clone()))
-                    .collect()
+                shard.handles()
             };
             w.put_varint(sealed.len() as u64);
-            for (handle, binary) in sealed {
-                // Installed segments carry their PDSG encoding from install
-                // (or decode) time: the incremental-snapshot path — nothing
-                // already serialised is serialised again.  The cold
-                // fallback covers lazily reopened stores whose synopsis
-                // block was never cached alongside the handle.
-                let blob: Arc<Vec<u8>> = match binary {
-                    Some(cached) => cached,
-                    None => Arc::new(handle.load()?.to_binary()?),
-                };
-                w.put_varint(blob.len() as u64);
-                w.put_bytes(&blob);
+            for handle in sealed {
+                let pdsg = handle.load()?.to_binary()?;
+                w.put_varint(pdsg.len() as u64);
+                w.put_bytes(&pdsg);
             }
         }
         Ok(w.into_bytes())
@@ -2781,11 +1963,7 @@ impl SynopsisStore {
                         ),
                     });
                 }
-                shard.segments.push(SealedSegment {
-                    seq: seq as u64,
-                    handle: Arc::new(SegmentHandle::eager(Arc::new(segment))),
-                    binary: Some(Arc::new(blob.to_vec())),
-                });
+                shard.install(seq as u64, segment);
             }
             shard.next_seq = count as u64;
         }
@@ -2851,124 +2029,12 @@ fn decode_synopsis_kind(r: &mut ByteReader<'_>) -> Result<SynopsisKind> {
     }
 }
 
-/// The one bound-handling contract shared by every read path: clamps the
-/// inclusive query range `[lo, hi]` to the store domain `[0, n)`.
-/// Returns `None` — the caller answers `0.0` — when the domain is empty,
-/// `lo` lies at or past the domain end, or the range is inverted
-/// (`hi < lo`); otherwise `Some((lo, min(hi, n - 1)))`.  Factoring this
-/// into one helper keeps [`SynopsisStore::range_estimate`],
-/// [`SynopsisStore::estimate`] and [`SnapshotView::range_estimate`] from
-/// drifting apart on edge cases — historically each open-coded its own
-/// clamp — and the server pins the resulting wire behaviour: an
-/// out-of-domain `RANGE`/`EST` answers `OK 0`, never an error.
-fn clamp_range(n: usize, lo: usize, hi: usize) -> Option<(usize, usize)> {
-    if n == 0 || lo >= n || hi < lo {
-        return None;
-    }
-    Some((lo, hi.min(n - 1)))
-}
-
-/// One partition of a [`SnapshotView`]: the `Arc`-shared sealed-segment
-/// handles, the `Arc`-shared frozen memtables and a copy of the live
-/// memtable at capture time.
-#[derive(Debug, Clone)]
-struct ViewPartition {
-    segments: Vec<Arc<SegmentHandle>>,
-    memtable: Memtable,
-    frozen: Vec<Arc<Memtable>>,
-}
-
-/// An immutable point-in-time view of a [`SynopsisStore`], captured by
-/// [`SynopsisStore::snapshot_view`]: answers point/range estimates
-/// **bitwise-identically** to the store at capture time, holds no locks,
-/// shares the sealed segments (and frozen memtables) by `Arc` rather than
-/// copying them, and is isolated from every later ingest, seal or
-/// compaction.  The serving surface for read paths that must never block
-/// writers or hold a shard lock across I/O.
-#[derive(Debug, Clone)]
-pub struct SnapshotView {
-    partitions: PartitionSpec,
-    /// The store's [`StoreConfig::prune`] knob at capture time, so the
-    /// view prunes (or not) exactly as its store would have.
-    prune: bool,
-    parts: Vec<ViewPartition>,
-}
-
-impl SnapshotView {
-    /// Domain size `n`.
-    pub fn n(&self) -> usize {
-        self.partitions.n()
-    }
-
-    /// Number of partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// Sealed segments captured by the view, summed over all partitions.
-    pub fn segment_count(&self) -> usize {
-        self.parts.iter().map(|p| p.segments.len()).sum()
-    }
-
-    /// Records still unsealed at capture time (live + frozen memtables).
-    pub fn live_records(&self) -> u64 {
-        self.parts
-            .iter()
-            .map(|p| p.memtable.len() as u64 + p.frozen.iter().map(|m| m.len() as u64).sum::<u64>())
-            .sum()
-    }
-
-    /// Estimated expected total frequency over the inclusive item range
-    /// `[lo, hi]` **at capture time**: same clamping, same summation order
-    /// and therefore bitwise the same value as
-    /// [`SynopsisStore::range_estimate`] on the store the view was taken
-    /// from.  Panic-free on any input.
-    pub fn range_estimate(&self, lo: usize, hi: usize) -> f64 {
-        let Some((lo, hi)) = clamp_range(self.n(), lo, hi) else {
-            return 0.0;
-        };
-        let (Ok(first), Ok(last)) = (
-            self.partitions.partition_of(lo),
-            self.partitions.partition_of(hi),
-        ) else {
-            return 0.0;
-        };
-        // Same clamp, same prune gate, same summation order as
-        // `range_estimate_core`, so the view's answer is bitwise the
-        // store's answer at capture time.  Views intentionally do not
-        // record scan telemetry: they are detached from the store and may
-        // outlive it.
-        let mut total = 0.0;
-        for p in first..=last {
-            let Some(part) = self.parts.get(p) else {
-                continue;
-            };
-            for handle in &part.segments {
-                if self.prune && !handle.may_overlap(lo, hi) {
-                    continue;
-                }
-                total += handle.range_sum(lo, hi);
-            }
-            total += part.memtable.range_sum(lo, hi);
-            for frozen in &part.frozen {
-                total += frozen.range_sum(lo, hi);
-            }
-        }
-        total
-    }
-
-    /// The estimated expected frequency of one item at capture time.
-    pub fn estimate(&self, item: usize) -> f64 {
-        self.range_estimate(item, item)
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pds_core::stream::{basic_stream, BasicStreamConfig};
 
-    fn config(n: usize, parts: usize, threshold: usize) -> StoreConfig {
+    pub(crate) fn config(n: usize, parts: usize, threshold: usize) -> StoreConfig {
         StoreConfig::new(
             PartitionSpec::uniform(n, parts).unwrap(),
             threshold,
@@ -3116,25 +2182,6 @@ mod tests {
         // Compacting a single segment is a no-op.
         store.compact_partition(0).unwrap();
         assert_eq!(store.segments(0).len(), 1);
-    }
-
-    #[test]
-    fn merge_global_covers_empty_partitions_with_zero_runs() {
-        let store = SynopsisStore::new(config(12, 3, 100)).unwrap();
-        for i in 0..4 {
-            store
-                .ingest(StreamRecord::Basic {
-                    item: i,
-                    prob: 0.75,
-                })
-                .unwrap();
-        }
-        store.seal_all().unwrap();
-        let merged = store.merge_global(4).unwrap();
-        assert_eq!(merged.n(), 12);
-        assert!((merged.estimates().iter().sum::<f64>() - 3.0).abs() < 1e-9);
-        // Items in the never-touched partitions estimate to ~zero.
-        assert!(merged.estimate(11).abs() < 1e-9);
     }
 
     #[test]
@@ -3511,144 +2558,6 @@ mod tests {
     }
 
     #[test]
-    fn out_of_domain_ranges_clamp_to_zero() {
-        let store = SynopsisStore::new(config(16, 4, 1 << 20)).unwrap();
-        store
-            .ingest(StreamRecord::Basic { item: 2, prob: 0.5 })
-            .unwrap();
-        // Both endpoints past the domain: nothing to sum.
-        assert_eq!(store.range_estimate(16, 20), 0.0);
-        assert_eq!(store.estimate(usize::MAX), 0.0);
-        // `lo` in domain, `hi` clamped: the in-domain prefix still answers.
-        assert!((store.range_estimate(0, usize::MAX) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn poisoned_shard_still_answers_queries() {
-        let store = SynopsisStore::new(config(16, 2, 4)).unwrap();
-        for i in 0..8 {
-            store
-                .ingest(StreamRecord::Basic {
-                    item: i % 16,
-                    prob: 0.5,
-                })
-                .unwrap();
-        }
-        let before = store.range_estimate(0, 15);
-        let stats_before = store.stats();
-        // Poison shard 0: a thread panics while holding the write lock.
-        let lock = &store.inner.shards[0];
-        let poisoned = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _guard = lock.write().unwrap();
-                panic!("poison the shard on purpose");
-            })
-            .join()
-            .is_err()
-        });
-        assert!(poisoned);
-        assert!(lock.is_poisoned(), "the write lock must now be poisoned");
-        // Read-only paths recover instead of propagating the panic.
-        assert_eq!(store.range_estimate(0, 15), before);
-        assert_eq!(store.estimate(2), store.estimate(2));
-        let stats_after = store.stats();
-        assert_eq!(stats_after.live_records, stats_before.live_records);
-        assert!(store.partition_pieces(0).is_ok());
-        let view = store.snapshot_view();
-        assert_eq!(view.range_estimate(0, 15), before);
-        let _ = store.memtable_snapshot(0);
-        let _ = store.segments(0);
-        let clone = store.clone();
-        assert_eq!(clone.range_estimate(0, 15), before);
-    }
-
-    #[test]
-    fn merge_global_rejects_zero_budget() {
-        let store = SynopsisStore::new(config(16, 4, 2)).unwrap();
-        store
-            .ingest_all(
-                basic_stream(BasicStreamConfig {
-                    n: 16,
-                    skew: 0.5,
-                    seed: 9,
-                })
-                .take(24),
-            )
-            .unwrap();
-        store.seal_all().unwrap();
-        assert!(matches!(
-            store.merge_global(0),
-            Err(PdsError::InvalidParameter { .. })
-        ));
-    }
-
-    #[test]
-    fn merge_global_rejects_budget_over_available_pieces() {
-        // No sealed data: every partition contributes exactly one zero-run
-        // piece, so the available piece count is the partition count.
-        let store = SynopsisStore::new(config(16, 4, 1 << 20)).unwrap();
-        let merged = store.merge_global(4).unwrap();
-        assert_eq!(merged.n(), 16);
-        assert!(matches!(
-            store.merge_global(5),
-            Err(PdsError::InvalidParameter { .. })
-        ));
-        assert!(matches!(
-            store.merge_global(usize::MAX),
-            Err(PdsError::InvalidParameter { .. })
-        ));
-    }
-
-    #[test]
-    fn snapshot_view_is_bitwise_equal_and_isolated() {
-        let store = SynopsisStore::new(config(64, 4, 8)).unwrap();
-        store
-            .ingest_all(
-                basic_stream(BasicStreamConfig {
-                    n: 64,
-                    skew: 0.5,
-                    seed: 41,
-                })
-                .take(300),
-            )
-            .unwrap();
-        let view = store.snapshot_view();
-        assert_eq!(view.n(), 64);
-        assert_eq!(view.num_partitions(), 4);
-        // Bitwise equality against the live store on a sweep of ranges,
-        // including clamped and inverted ones.
-        for lo in (0..64).step_by(7) {
-            for hi in [lo, lo + 3, 63, 200] {
-                assert_eq!(
-                    view.range_estimate(lo, hi).to_bits(),
-                    store.range_estimate(lo, hi).to_bits(),
-                    "view must answer bitwise-identically at [{lo}, {hi}]"
-                );
-            }
-        }
-        let frozen_answer = view.range_estimate(0, 63);
-        let live_before = store.range_estimate(0, 63);
-        // Later ingest and sealing change the store, never the view.
-        store
-            .ingest_all(
-                basic_stream(BasicStreamConfig {
-                    n: 64,
-                    skew: 0.5,
-                    seed: 42,
-                })
-                .take(100),
-            )
-            .unwrap();
-        store.seal_all().unwrap();
-        assert!(store.range_estimate(0, 63) > live_before);
-        assert_eq!(
-            view.range_estimate(0, 63).to_bits(),
-            frozen_answer.to_bits()
-        );
-        assert!(view.live_records() + view.segment_count() as u64 > 0);
-    }
-
-    #[test]
     fn stats_json_round_trips_and_rejects_skew() {
         let store = SynopsisStore::new(config(12, 3, 4)).unwrap();
         for i in 0..7 {
@@ -3718,66 +2627,5 @@ mod tests {
         SynopsisStore::unfreeze(&store.inner, &mut shard, task);
         drop(shard);
         assert_eq!(store.stats().seals, 1);
-    }
-
-    #[test]
-    fn render_metrics_exposes_store_series_and_events() {
-        let mut cfg = config(12, 3, 4);
-        cfg.compaction = Some(CompactionPolicy {
-            min_merge: 2,
-            tier_ratio: 2.0,
-        });
-        let store = SynopsisStore::new(cfg).unwrap();
-        for i in 0..24 {
-            store
-                .ingest(StreamRecord::Basic {
-                    item: i % 4,
-                    prob: 0.5,
-                })
-                .unwrap();
-        }
-        let _ = store.estimate(0);
-        let _ = store.range_estimate(0, 11);
-        let _ = store.snapshot_view();
-        store.seal_all().unwrap();
-        let text = store.render_metrics();
-        assert!(text.contains("pds_store_telemetry_enabled 1"));
-        assert!(text.contains("pds_store_ingest_records_total{partition=\"0\"} 24"));
-        assert!(text.contains("pds_store_freezes_total"));
-        assert!(text.contains("pds_store_query_seconds_count{op=\"estimate\"} 1"));
-        assert!(text.contains("pds_store_query_seconds_count{op=\"range_estimate\"} 1"));
-        assert!(text.contains("pds_store_query_seconds_count{op=\"snapshot_view\"} 1"));
-        assert!(text.contains("pds_store_ingested_records_total 24"));
-        assert!(text.contains("pds_store_compaction_rounds_total"));
-        let events = store.render_events();
-        assert!(
-            events.iter().any(|e| e.contains("seal-installed")),
-            "{events:?}"
-        );
-        assert!(
-            events.iter().any(|e| e.contains("compaction-committed")),
-            "{events:?}"
-        );
-
-        // With the knob off the same workload records nothing.
-        let mut cfg = config(12, 3, 4);
-        cfg.telemetry = false;
-        let quiet = SynopsisStore::new(cfg).unwrap();
-        for i in 0..8 {
-            quiet
-                .ingest(StreamRecord::Basic {
-                    item: i % 12,
-                    prob: 0.5,
-                })
-                .unwrap();
-        }
-        let _ = quiet.estimate(0);
-        let text = quiet.render_metrics();
-        assert!(text.contains("pds_store_telemetry_enabled 0"));
-        assert!(text.contains("pds_store_ingest_records_total{partition=\"0\"} 0"));
-        assert!(text.contains("pds_store_query_seconds_count{op=\"estimate\"} 0"));
-        // The stats-derived series still report the real counters.
-        assert!(text.contains("pds_store_ingested_records_total 8"));
-        assert!(quiet.render_events().is_empty());
     }
 }

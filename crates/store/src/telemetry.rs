@@ -361,11 +361,11 @@ impl StoreTelemetry {
         }
     }
 
-    /// One sealed-segment scan decision on the live query path:
-    /// `visited` segments had their synopsis consulted, `pruned` were
-    /// skipped by fence/filter metadata.  Detached [`SnapshotView`]
-    /// queries do not report here — the counters describe live store
-    /// traffic (and the `--read-gate` prune ratio is measured on them).
+    /// One range query's sealed-segment scan: `visited` segments had
+    /// their synopsis consulted, `pruned` were skipped by fence/filter
+    /// metadata — together, every segment of the partitions the window
+    /// spans.  The store's own queries and every [`SnapshotView`] taken
+    /// from it (so `EST`/`RANGE` over the wire) report here.
     ///
     /// [`SnapshotView`]: crate::SnapshotView
     pub(crate) fn record_scan(&self, visited: u64, pruned: u64) {

@@ -1,6 +1,7 @@
 //! Byte-pinned golden fixtures for the on-disk formats: `PDSG` (segment),
-//! `PDST` (whole store), the block-structured `PDSB` segment blob (and its
-//! v1 CRC-trailed predecessor) and the `MANIFEST`.
+//! `PDST` (whole store), the block-structured `PDSB` segment blob (plus a
+//! fixture of its retired v1 CRC-trailed predecessor, pinned as *rejected*)
+//! and the `MANIFEST`.
 //!
 //! The fixtures in `tests/golden/` are checked into the repository.  Every
 //! test here (a) re-encodes a deterministic artefact and asserts the bytes
@@ -118,18 +119,35 @@ fn segment_blob_format_is_pinned() {
 }
 
 #[test]
-fn segment_blob_v1_format_still_decodes() {
+fn segment_blob_v1_format_is_rejected() {
     // v1 blobs (raw PDSG bytes + CRC-32 trailer) predate the
-    // block-structured PDSB container; directories written by older builds
-    // must keep opening, so the v1 fixture is pinned decode-only.
-    let store = fixture_store();
-    let segment = &store.segments(1)[0];
+    // block-structured PDSB container and are no longer accepted: the
+    // fixture must be refused by name — by the whole-blob decoder and by a
+    // store asked to reopen a directory holding it — never mis-decoded.
     let fixture = std::fs::read(golden_dir().join("segment-v1.blob")).unwrap();
-    let decoded = Segment::from_blob(&fixture).unwrap();
-    assert_eq!(&decoded, segment);
-    // And a v1 blob is recognisably *not* a v2 container: the lazy opener
-    // relies on the footer probe failing cleanly to fall back to eager.
+    assert_eq!(&fixture[..4], b"PDSG");
+    let err = Segment::from_blob(&fixture).unwrap_err().to_string();
+    assert!(err.contains("v1 / unframed blob"), "{err}");
     assert!(blob::decode_footer(&fixture).is_err());
+
+    let dir = std::env::temp_dir().join(format!("pds-golden-v1-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = fixture_store().config().clone();
+    drop(SynopsisStore::open_with_wal(config.clone(), &dir).unwrap());
+    Manifest::open(&dir, WalSync::Flush)
+        .unwrap()
+        .0
+        .install(1, 0)
+        .unwrap();
+    std::fs::write(dir.join("seg-1-0.bin"), &fixture).unwrap();
+    let err = SynopsisStore::open_with_wal(config, &dir)
+        .unwrap_err()
+        .to_string();
+    assert!(
+        err.contains("seg-1-0.bin") && err.contains("v1 / unframed blob"),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -137,9 +155,11 @@ fn store_pdst_format_is_pinned() {
     let store = fixture_store();
     let bytes = store.to_binary().unwrap();
     check_golden("store.pdst", &bytes);
-    let decoded =
-        SynopsisStore::from_binary(&std::fs::read(golden_dir().join("store.pdst")).unwrap())
-            .unwrap();
+    let fixture = std::fs::read(golden_dir().join("store.pdst")).unwrap();
+    let decoded = SynopsisStore::from_binary(&fixture).unwrap();
+    // No cached bytes ride along with a decoded store, so this re-encodes
+    // every segment: the encoder must be canonical.
+    assert_eq!(decoded.to_binary().unwrap(), fixture);
     assert_eq!(decoded.config(), store.config());
     assert_eq!(decoded.stats(), store.stats());
     for (lo, hi) in [(0usize, 15usize), (0, 7), (10, 13), (5, 5)] {

@@ -165,12 +165,13 @@ proptest! {
     }
 
     /// Bit-flipping or truncating a segment blob is detected by the blob
-    /// CRCs at **eager** reopen: an error naming the blob, never a panic,
-    /// never a store that silently answers from corrupt bytes.  (Under the
-    /// default lazy opening only the footer and meta block are verified at
-    /// open; a corrupt *synopsis block* is caught at first touch and
-    /// degrades instead — pinned by
-    /// `lazy_reopen_defers_synopsis_corruption_to_first_touch` below.)
+    /// CRCs — never a panic, never a healthy store that silently answers
+    /// from corrupt bytes.  Reopening verifies the header, meta block and
+    /// footer, so damage there fails the open; a damaged *synopsis block*
+    /// is only read at first touch, so the open may succeed — and then
+    /// touching every segment must leave the store degraded (the exact
+    /// first-touch behaviour is pinned by
+    /// `lazy_reopen_defers_synopsis_corruption_to_first_touch` below).
     #[test]
     fn corrupted_segment_blobs_fail_reopen_cleanly(
         records in prop::collection::vec((0..N, 0.01f64..0.9), 12..40),
@@ -179,11 +180,6 @@ proptest! {
         truncate_frac in 0.0f64..1.0,
         case in 0u64..u64::MAX,
     ) {
-        let config = || {
-            let mut cfg = config();
-            cfg.lazy_blocks = false;
-            cfg
-        };
         let dir = unique_dir("blob-corrupt", case);
         let _ = std::fs::remove_dir_all(&dir);
         {
@@ -205,22 +201,34 @@ proptest! {
             .expect("a sealed store leaves at least one blob");
         let blob = std::fs::read(&blob_path).unwrap();
 
-        // Any single-bit flip anywhere in the blob fails the CRC.
+        // Either the open fails, or touching every segment degrades.
+        let rejected_or_degraded = || match SynopsisStore::open_with_wal(config(), &dir) {
+            Err(_) => true,
+            Ok(store) => {
+                for p in 0..PARTS {
+                    let _ = store.segments(p);
+                }
+                let _ = store.range_estimate(0, N - 1);
+                store.degraded().is_some()
+            }
+        };
+
+        // Any single-bit flip anywhere in the blob fails a CRC.
         let mut flipped = blob.clone();
         let pos = ((blob.len() as f64 * flip_frac) as usize).min(blob.len() - 1);
         flipped[pos] ^= 1u8 << flip_bit;
         std::fs::write(&blob_path, &flipped).unwrap();
-        prop_assert!(SynopsisStore::open_with_wal(config(), &dir).is_err());
+        prop_assert!(rejected_or_degraded(), "flip at byte {} bit {}", pos, flip_bit);
 
         // Any strict prefix fails too (torn blob write — though installs
         // publish via tmp-rename, so this models disk-level damage).
         let cut = ((blob.len() as f64 * truncate_frac) as usize).min(blob.len() - 1);
         std::fs::write(&blob_path, &blob[..cut]).unwrap();
-        prop_assert!(SynopsisStore::open_with_wal(config(), &dir).is_err());
+        prop_assert!(rejected_or_degraded(), "cut at {}", cut);
 
-        // Restoring the original bytes restores the store.
+        // Restoring the original bytes restores a healthy store.
         std::fs::write(&blob_path, &blob).unwrap();
-        prop_assert!(SynopsisStore::open_with_wal(config(), &dir).is_ok());
+        prop_assert!(!rejected_or_degraded());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -496,15 +504,16 @@ proptest! {
     }
 }
 
-/// Under the default lazy opening, a corrupt **synopsis block** is not
-/// verified at reopen — only the footer and meta block are — so the open
-/// succeeds and the corruption surfaces at the first query touching the
-/// segment: the store degrades (sticky, cause-recorded, naming the
+/// A corrupt **synopsis block** is not verified at reopen — only the
+/// header, footer and meta block are — so the open succeeds and the
+/// corruption surfaces at the first query touching the segment: the
+/// store degrades (sticky, cause-recorded, naming the
 /// `block-read` site) and the unreadable segment stops contributing to
 /// answers, rather than panicking or serving corrupt bytes.  Restoring
 /// the original bytes and reopening recovers a healthy store.  The
-/// eager-mode companion contract (corruption anywhere fails the open) is
-/// `corrupted_segment_blobs_fail_reopen_cleanly` above.
+/// whole-blob companion contract (damage anywhere fails the open or
+/// degrades at first touch) is `corrupted_segment_blobs_fail_reopen_cleanly`
+/// above.
 #[test]
 fn lazy_reopen_defers_synopsis_corruption_to_first_touch() {
     let dir = unique_dir("blob-lazy-corrupt", 0);

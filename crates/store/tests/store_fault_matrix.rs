@@ -674,7 +674,7 @@ fn block_read_faults_degrade_at_first_touch_and_keep_serving() {
         }
         mirror.seal_partition(0).unwrap();
 
-        // The (default) lazy reopen never crosses the block-read site…
+        // The reopen never crosses the block-read site…
         let guard = fault::arm(FaultSpec::persistent("block-read", class).scoped(&dir));
         let store = SynopsisStore::open_with_wal(config(), &dir).unwrap();
         assert!(
@@ -716,7 +716,7 @@ fn block_read_faults_degrade_at_first_touch_and_keep_serving() {
 /// Transient `block-read` faults are absorbed by the bounded retry: the
 /// first touch succeeds after the retry, the store stays healthy, the
 /// retry and the block load are visible in telemetry, and every answer is
-/// bitwise what an eager open would have given.
+/// bitwise what the never-reopened mirror gives.
 #[test]
 fn transient_block_read_is_retried_away() {
     for class in ErrorClass::ALL {

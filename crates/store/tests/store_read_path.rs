@@ -1,8 +1,10 @@
 //! Read-path acceleration equivalence suite: segment pruning, lazy
 //! synopsis blocks and the merged-synopsis cache must all be **bitwise
-//! invisible** — every estimate, view answer and merged histogram is
-//! bit-identical with each knob on or off, at every pool width — while
-//! the telemetry counters prove the fast paths actually engaged.
+//! invisible**.  The store has no knob to turn them off, so the reference
+//! is written here: a full walk over `segments(p)` + `memtable_snapshot(p)`
+//! that prunes nothing.  Every store and view answer must bit-equal it at
+//! every pool width, a reopened store must bit-equal the store that wrote
+//! it, and the telemetry counters prove the fast paths actually engaged.
 
 use pds_core::metrics::ErrorMetric;
 use pds_core::pool;
@@ -43,28 +45,53 @@ fn burst(k: usize) -> Vec<StreamRecord> {
     records
 }
 
-/// Builds a store segment-band by segment-band under `cfg`.
-fn banded_store(cfg: StoreConfig) -> SynopsisStore {
-    let store = SynopsisStore::new(cfg).unwrap();
+/// Fills `store` segment-band by segment-band, then leaves two live
+/// records behind so the memtable term of the sum is exercised too.
+fn fill_banded(store: &SynopsisStore) {
     for k in 0..BANDS {
         store.ingest_batch(burst(k)).unwrap();
         store.seal_all().unwrap();
     }
     assert_eq!(store.stats().segments, PARTS * BANDS);
-    store
+    for (item, prob) in [(1usize, 0.3), (N - 2, 0.6)] {
+        store.ingest(StreamRecord::Basic { item, prob }).unwrap();
+    }
 }
 
-/// The full bitwise answer surface: every point estimate, a grid of range
-/// estimates, and the matching snapshot-view answers.
+/// The query grid every comparison runs over: each point, plus narrow,
+/// partition-wide, to-the-end and past-the-domain ranges from each `lo`.
+fn grid() -> Vec<(usize, usize)> {
+    (0..N)
+        .flat_map(|lo| [lo, lo + 2, lo + 11, N - 1, N + 100].map(|hi| (lo, hi)))
+        .collect()
+}
+
+/// The unaccelerated reference: every segment of every partition in
+/// install order — no prune gate, no partition-span shortcut — then the
+/// partition's live memtable (`Segment::range_sum` and
+/// `Memtable::range_sum` answer an exact zero outside their own span, so
+/// walking everything adds zeros only).
+fn full_walk(store: &SynopsisStore, lo: usize, hi: usize) -> f64 {
+    let mut total = 0.0;
+    for p in 0..store.num_partitions() {
+        for segment in store.segments(p) {
+            total += segment.range_sum(lo, hi);
+        }
+        total += store.memtable_snapshot(p).range_sum(lo, hi);
+    }
+    total
+}
+
+/// The store's and its snapshot view's answers over the grid, as bits.
 fn answer_bits(store: &SynopsisStore) -> Vec<u64> {
     let view = store.snapshot_view();
     let mut out = Vec::new();
-    for lo in 0..N {
-        out.push(store.estimate(lo).to_bits());
-        out.push(view.estimate(lo).to_bits());
-        for hi in [lo, lo + 2, lo + 11, N - 1, N + 100] {
-            out.push(store.range_estimate(lo, hi).to_bits());
-            out.push(view.range_estimate(lo, hi).to_bits());
+    for (lo, hi) in grid() {
+        out.push(store.range_estimate(lo, hi).to_bits());
+        out.push(view.range_estimate(lo, hi).to_bits());
+        if lo == hi {
+            out.push(store.estimate(lo).to_bits());
+            out.push(view.estimate(lo).to_bits());
         }
     }
     out
@@ -81,26 +108,33 @@ fn metric(store: &SynopsisStore, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("metric {name} missing from:\n{text}"))
 }
 
-/// Pruning answers bit-identically to the unpruned path — per point, per
-/// range, per view — at every pool width, while actually skipping most
-/// segments on narrow queries.
+/// The store and its views answer bit-identically to the full-walk
+/// reference — per point, per range — at every pool width, while actually
+/// skipping most segments on narrow queries.
 #[test]
 fn pruning_is_bitwise_invisible_at_every_pool_width() {
     let mut reference: Option<Vec<u64>> = None;
     for threads in [1usize, 2, 4] {
         pool::set_num_threads(Some(threads));
-        let pruned = banded_store(config());
-        let unpruned = banded_store(StoreConfig {
-            prune: false,
-            ..config()
-        });
-
-        let bits = answer_bits(&pruned);
-        assert_eq!(
-            bits,
-            answer_bits(&unpruned),
-            "pruned vs unpruned diverged at {threads} threads"
-        );
+        let store = SynopsisStore::new(config()).unwrap();
+        fill_banded(&store);
+        let view = store.snapshot_view();
+        for (lo, hi) in grid() {
+            // The reference knows no clamp: a past-the-domain `hi` reads
+            // the same as the last item, and every grid `lo` is in-domain.
+            let want = full_walk(&store, lo, hi.min(N - 1)).to_bits();
+            assert_eq!(
+                store.range_estimate(lo, hi).to_bits(),
+                want,
+                "store vs full walk at [{lo}, {hi}], {threads} threads"
+            );
+            assert_eq!(
+                view.range_estimate(lo, hi).to_bits(),
+                want,
+                "view vs full walk at [{lo}, {hi}], {threads} threads"
+            );
+        }
+        let bits = answer_bits(&store);
         match &reference {
             None => reference = Some(bits),
             Some(reference) => assert_eq!(
@@ -108,14 +142,10 @@ fn pruning_is_bitwise_invisible_at_every_pool_width() {
                 "answers drifted across pool widths at {threads} threads"
             ),
         }
-
-        // The knob did real work: narrow queries skipped segments on the
-        // pruning store and visited everything on the other.
         assert!(
-            metric(&pruned, "pds_store_segments_pruned_total") > 0,
+            metric(&store, "pds_store_segments_pruned_total") > 0,
             "banded narrow queries must prune segments"
         );
-        assert_eq!(metric(&unpruned, "pds_store_segments_pruned_total"), 0);
     }
     pool::set_num_threads(None);
 }
@@ -157,20 +187,18 @@ fn point_queries_consult_the_presence_filter() {
     assert_eq!(metric(&store, "pds_store_segments_pruned_total"), before);
 }
 
-/// Lazy reopen answers bit-identically to an eager reopen, loads no
-/// synopsis block until a query touches it, and loads only the touched
-/// segments for a narrow query.
+/// A reopened store answers bit-identically to the store that wrote the
+/// directory, loads no synopsis block until a query touches it, and loads
+/// only the touched segments for a narrow query.
 #[test]
 fn lazy_reopen_is_bitwise_identical_and_loads_on_touch() {
     let dir = std::env::temp_dir().join(format!("pds-read-path-lazy-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    {
+    let written_bits = {
         let store = SynopsisStore::open_with_wal(config(), &dir).unwrap();
-        for k in 0..BANDS {
-            store.ingest_batch(burst(k)).unwrap();
-            store.seal_all().unwrap();
-        }
-    }
+        fill_banded(&store);
+        answer_bits(&store)
+    };
 
     let lazy = SynopsisStore::open_with_wal(config(), &dir).unwrap();
     assert_eq!(
@@ -178,32 +206,23 @@ fn lazy_reopen_is_bitwise_identical_and_loads_on_touch() {
         0,
         "a lazy reopen must not read any synopsis block"
     );
-    // A one-band query in one partition touches exactly one segment.
-    let narrow = lazy.range_estimate(0, BAND - 1);
+    // A one-band query in one partition touches exactly one segment
+    // (band 1: the replayed live record at item 1 sits in band 0).
+    let narrow = lazy.range_estimate(BAND, 2 * BAND - 1);
     assert!(narrow > 0.0);
     assert_eq!(metric(&lazy, "pds_store_block_loads_total"), 1);
 
-    let lazy_bits = answer_bits(&lazy);
-    assert!(
-        metric(&lazy, "pds_store_block_loads_total") <= (PARTS * BANDS) as u64,
-        "each block loads at most once"
-    );
-
-    let eager = SynopsisStore::open_with_wal(
-        StoreConfig {
-            lazy_blocks: false,
-            ..config()
-        },
-        &dir,
-    )
-    .unwrap();
     assert_eq!(
-        lazy_bits,
-        answer_bits(&eager),
-        "lazy vs eager reopen diverged"
+        answer_bits(&lazy),
+        written_bits,
+        "the reopened store diverged from the store that wrote it"
+    );
+    assert_eq!(
+        metric(&lazy, "pds_store_block_loads_total"),
+        (PARTS * BANDS) as u64,
+        "the full grid touches every block, each loaded exactly once"
     );
     drop(lazy);
-    drop(eager);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -212,7 +231,8 @@ fn lazy_reopen_is_bitwise_identical_and_loads_on_touch() {
 /// the entry and the recomputed merge matches a cache-less store.
 #[test]
 fn merge_cache_replays_bitwise_and_invalidates_on_structural_commits() {
-    let store = banded_store(config());
+    let store = SynopsisStore::new(config()).unwrap();
+    fill_banded(&store);
     let cold = store.merge_global(6).unwrap();
     assert_eq!(metric(&store, "pds_store_merge_cache_misses_total"), 1);
 
@@ -238,10 +258,7 @@ fn merge_cache_replays_bitwise_and_invalidates_on_structural_commits() {
     assert_eq!(metric(&store, "pds_store_merge_cache_misses_total"), 3);
 
     let mirror = SynopsisStore::new(config()).unwrap();
-    for k in 0..BANDS {
-        mirror.ingest_batch(burst(k)).unwrap();
-        mirror.seal_all().unwrap();
-    }
+    fill_banded(&mirror);
     mirror.ingest_batch(burst(0)).unwrap();
     mirror.seal_all().unwrap();
     assert_eq!(
