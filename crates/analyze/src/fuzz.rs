@@ -389,7 +389,7 @@ fn seed_inputs(seed: u64) -> pds_core::error::Result<Vec<SeedInput>> {
     seeds.push(SeedInput::plain(Kind::BlobMeta, wavelet_seg.to_blob()?));
 
     let store = SynopsisStore::new(store_config()?)?;
-    store.ingest_all(recovery_workload())?;
+    store.ingest_batch(recovery_workload())?;
     store.seal_all()?;
     seeds.push(SeedInput::plain(Kind::Store, store.to_binary()?));
 
@@ -435,7 +435,6 @@ fn seed_inputs(seed: u64) -> pds_core::error::Result<Vec<SeedInput>> {
         b"MERGE 8\n",
         b"INGEST 1024\n",
         b"SEAL\n",
-        b"FLUSH\n",
         b"SNAPSHOT\n",
         b"QUIT\n",
     ] {
@@ -730,9 +729,7 @@ fn fuzz_recovery(rng: &mut StdRng, cases: u64, seed: u64, outcome: &mut FuzzOutc
     let _ = fs::remove_dir_all(&base);
     let built = (|| -> pds_core::error::Result<()> {
         let store = SynopsisStore::open_with_wal(store_config()?, &base)?;
-        store.ingest_all(workload.iter().cloned())?;
-        store.flush()?;
-        Ok(())
+        store.ingest_batch(workload.iter().cloned())
     })();
     if let Err(e) = built {
         outcome.failures.push(FuzzFailure {

@@ -287,7 +287,6 @@ const LOCK_BANNED_CALLS: &[&str] = &[
     // WAL operations (append/commit/rotate all touch the filesystem)
     "append",
     "commit",
-    "commit_synced",
     "commit_group",
     "rotate",
     "reabsorb",
@@ -295,10 +294,14 @@ const LOCK_BANNED_CALLS: &[&str] = &[
     // store-internal helpers that wrap I/O
     "insert_locked",
     "commit_wal_locked",
-    "seal_locked",
     "freeze",
     "unfreeze",
     "install_in_memory",
+    // the one seal sequence (build, blob publish, manifest commit) and its
+    // parts: off-lock by contract, so reaching any of them under a live
+    // shard guard is a finding
+    "seal_frozen",
+    "build_task",
     "complete_seal",
     "commit_durable",
     "write_segment_blob",

@@ -37,8 +37,9 @@ fn lock_discipline_fires_on_seeded_spans_only() {
     )]);
     assert_eq!(
         findings(&report),
-        vec![(8, RULE_LOCK), (14, RULE_LOCK)],
-        "expected exactly the I/O-under-guard and nested-acquisition seeds: {:#?}",
+        vec![(8, RULE_LOCK), (14, RULE_LOCK), (39, RULE_LOCK)],
+        "expected exactly the I/O-under-guard, nested-acquisition and \
+         seal-under-guard seeds: {:#?}",
         report.diagnostics
     );
 }

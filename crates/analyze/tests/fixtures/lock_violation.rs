@@ -32,3 +32,17 @@ pub fn good_early_drop(store: &Store) {
     vfs::rename("site", "a", "b").ok(); // fine: guard explicitly dropped
     n
 }
+
+pub fn bad_seal_under_guard(store: &Store) {
+    let mut shard = store.write_shard(0);
+    let task = shard.take();
+    store.seal_frozen(task).ok(); // VIOLATION: the seal sequence (build + blob + manifest I/O) under `shard`
+}
+
+pub fn good_seal_after_guard(store: &Store) {
+    let task = {
+        let mut shard = store.write_shard(0);
+        shard.take()
+    };
+    store.seal_frozen(task).ok(); // fine: frozen under the guard, sealed after it
+}

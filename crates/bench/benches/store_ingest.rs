@@ -1,7 +1,7 @@
 //! Criterion benchmark for the `pds-store` ingest path: memtable append
 //! throughput (tuples/sec) across worker-thread counts, seal latency per
-//! segment (inline and on the thread pool), and the partition merge
-//! producing the global histogram.
+//! segment (one partition and all of them on the thread pool), and the
+//! partition merge producing the global histogram.
 //!
 //! The thread axis (1/2/4/8) drives `SynopsisStore::ingest_batch` through
 //! `pds_core::pool::set_num_threads`, so the numbers show how batch ingest
@@ -39,21 +39,13 @@ fn records(count: usize) -> Vec<StreamRecord> {
 }
 
 /// Memtable append throughput: no sealing, pure routing + expectation
-/// bookkeeping.  The serial row calls `ingest_all` (per-record locking);
-/// the threaded rows call `ingest_batch` (lock-free routing, one pool task
-/// per partition) at 1/2/4/8 workers.  Reported per iteration over a
+/// bookkeeping through `ingest_batch` (lock-free routing, one pool task per
+/// partition) at 1/2/4/8 workers.  Reported per iteration over a
 /// 100k-record batch — divide for tuples/sec.
 fn bench_ingest_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("store_ingest");
     group.sample_size(10);
     let batch = records(100_000);
-    group.bench_function("memtable_append_100k_serial", |bench| {
-        bench.iter(|| {
-            let store = SynopsisStore::new(config(usize::MAX >> 1, 32)).unwrap();
-            store.ingest_all(batch.iter().cloned()).unwrap();
-            black_box(store.stats().ingested_records)
-        })
-    });
     for threads in [1usize, 2, 4, 8] {
         pool::set_num_threads(Some(threads));
         group.bench_with_input(
@@ -72,38 +64,6 @@ fn bench_ingest_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Auto-sealing pipeline: ingest with a threshold that fires ~8 seals, with
-/// sealing inline on the ingest thread versus on background workers.
-fn bench_background_sealing(c: &mut Criterion) {
-    let mut group = c.benchmark_group("store_seal_overlap");
-    group.sample_size(10);
-    let batch = records(100_000);
-    group.bench_function("ingest_100k_seal_inline", |bench| {
-        bench.iter(|| {
-            let store = SynopsisStore::new(config(12_500, 32)).unwrap();
-            store.ingest_batch(batch.iter().cloned()).unwrap();
-            black_box(store.stats().seals)
-        })
-    });
-    for workers in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("ingest_100k_seal_background", workers),
-            &workers,
-            |bench, &workers| {
-                bench.iter(|| {
-                    let store = SynopsisStore::new(config(12_500, 32))
-                        .unwrap()
-                        .with_background_sealing(workers);
-                    store.ingest_batch(batch.iter().cloned()).unwrap();
-                    store.flush().unwrap();
-                    black_box(store.stats().seals)
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 /// Seal latency: one partition's memtable (~12.5k records over a 1024-item
 /// range) into a segment, for a few synopsis budgets.
 fn bench_seal_latency(c: &mut Criterion) {
@@ -112,7 +72,7 @@ fn bench_seal_latency(c: &mut Criterion) {
     let batch = records(100_000);
     for budget in [16usize, 48] {
         let filled = SynopsisStore::new(config(usize::MAX >> 1, budget)).unwrap();
-        filled.ingest_all(batch.iter().cloned()).unwrap();
+        filled.ingest_batch(batch.iter().cloned()).unwrap();
         group.bench_with_input(
             BenchmarkId::new("seal_partition", budget),
             &budget,
@@ -127,7 +87,7 @@ fn bench_seal_latency(c: &mut Criterion) {
     // All eight partitions at once: `seal_all` builds on the thread pool.
     for threads in [1usize, 4] {
         let filled = SynopsisStore::new(config(usize::MAX >> 1, 48)).unwrap();
-        filled.ingest_all(batch.iter().cloned()).unwrap();
+        filled.ingest_batch(batch.iter().cloned()).unwrap();
         pool::set_num_threads(Some(threads));
         group.bench_with_input(
             BenchmarkId::new("seal_all_threads", threads),
@@ -207,7 +167,7 @@ fn bench_global_merge(c: &mut Criterion) {
     let mut group = c.benchmark_group("store_merge");
     group.sample_size(10);
     let store = SynopsisStore::new(config(usize::MAX >> 1, 48)).unwrap();
-    store.ingest_all(records(400_000)).unwrap();
+    store.ingest_batch(records(400_000)).unwrap();
     store.seal_all().unwrap();
     group.bench_function("merge_global_b32", |bench| {
         bench.iter(|| black_box(store.merge_global(32).unwrap().total_cost()))
@@ -218,7 +178,6 @@ fn bench_global_merge(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_ingest_throughput,
-    bench_background_sealing,
     bench_seal_latency,
     bench_wal_commit,
     bench_global_merge

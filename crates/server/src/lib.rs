@@ -25,8 +25,7 @@
 //! | `MERGE <b>` | `OK BIN <len>` + `<len>` bytes | global `b`-bucket merged histogram, `PDSH` binio envelope |
 //! | `SNAPSHOT` | `OK BIN <len>` + `<len>` bytes | seal everything and serialise, `PDST` binio envelope |
 //! | `INGEST <count>` | `OK <records>` | the next `count` lines are stream-format records (see below) |
-//! | `SEAL` | `OK sealed` | seal every live memtable |
-//! | `FLUSH` | `OK flushed` | wait for background seals, surface their errors |
+//! | `SEAL` | `OK sealed` | seal every live memtable (the segments are installed when the reply arrives) |
 //! | `METRICS` | `OK BIN <len>` + `<len>` bytes | telemetry scrape: Prometheus-style text exposition, server + store series |
 //! | `METRICS EVENTS` | `OK BIN <len>` + `<len>` bytes | recent notable events, one `server …`/`store …` line each, oldest first |
 //! | `HEALTH` | `OK healthy` \| `OK degraded <cause>` | store health probe (degraded = sticky read-only mode, see below) |
@@ -71,9 +70,15 @@
 //!
 //! * `HEALTH` answers `OK degraded <cause>` (still `OK` — the probe
 //!   itself succeeded; only the write path is down).
-//! * Write verbs (`INGEST`, `SEAL`, `FLUSH`, `SNAPSHOT`) answer
+//! * Write verbs (`INGEST`, `SEAL`, `SNAPSHOT`) answer
 //!   `ERR DEGRADED <cause>` — the machine-matchable prefix lets clients
 //!   tell "this store is read-only now, fail over" from a bad request.
+//!   Every write verb is synchronous: a seal that an `INGEST` batch
+//!   triggers runs on that connection's worker, off the shard lock (so
+//!   concurrent readers and writers of the partition are not stalled by
+//!   the build or the disk), and has committed — or reported its error —
+//!   by the time the batch is acknowledged.  There is nothing to wait for
+//!   afterwards, hence no `FLUSH` verb.
 //!
 //! The mode is cleared only by restarting the server over the reopened
 //! directory (recovery replays the durable state).  The store-side

@@ -48,8 +48,6 @@ pub enum Command {
     },
     /// `SEAL` — seal every live memtable.
     Seal,
-    /// `FLUSH` — wait for background seals.
-    Flush,
     /// `SNAPSHOT` — seal and serialise the store (binary body).
     Snapshot,
     /// `METRICS [EVENTS]` — telemetry scrape (binary body): the
@@ -130,7 +128,6 @@ pub fn parse_command(line: &str) -> Result<Command, ProtoError> {
             count: arg_usize(&mut fields, "INGEST", "count")?,
         },
         "SEAL" => Command::Seal,
-        "FLUSH" => Command::Flush,
         "SNAPSHOT" => Command::Snapshot,
         "METRICS" => Command::Metrics {
             events: opt_keyword(&mut fields, "METRICS", "EVENTS")?,
@@ -140,7 +137,7 @@ pub fn parse_command(line: &str) -> Result<Command, ProtoError> {
         other => {
             return Err(ProtoError::new(format!(
                 "unknown command {:?} (expected PING, EST, RANGE, STATS, MERGE, \
-                 INGEST, SEAL, FLUSH, SNAPSHOT, METRICS, HEALTH or QUIT)",
+                 INGEST, SEAL, SNAPSHOT, METRICS, HEALTH or QUIT)",
                 truncate_for_error(other)
             )))
         }
@@ -230,7 +227,6 @@ mod tests {
             Ok(Command::Ingest { count: 1024 })
         );
         assert_eq!(parse_command("SEAL"), Ok(Command::Seal));
-        assert_eq!(parse_command("FLUSH"), Ok(Command::Flush));
         assert_eq!(parse_command("SNAPSHOT"), Ok(Command::Snapshot));
         assert_eq!(
             parse_command("METRICS"),
@@ -263,6 +259,7 @@ mod tests {
             "MERGE",
             "INGEST 1 2",
             "BOGUS 4",
+            "FLUSH",
             "PING extra",
             "QUIT now",
             "STATS BOGUS",

@@ -429,10 +429,6 @@ fn execute_command<R: BufRead, W: Write>(
             Ok(()) => writer.write_all(b"OK sealed\n")?,
             Err(e) => write_store_err(tel, writer, &e)?,
         },
-        Command::Flush => match store.flush() {
-            Ok(()) => writer.write_all(b"OK flushed\n")?,
-            Err(e) => write_store_err(tel, writer, &e)?,
-        },
         Command::Ingest { count } => {
             ingest_batch(store, config, tel, reader, writer, count)?;
         }

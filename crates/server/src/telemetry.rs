@@ -23,9 +23,9 @@ mod event {
 }
 
 /// Label values of the per-verb series, indexed by [`verb_index`].
-const VERBS: [&str; 12] = [
-    "ping", "est", "range", "stats", "merge", "ingest", "seal", "flush", "snapshot", "metrics",
-    "health", "quit",
+const VERBS: [&str; 11] = [
+    "ping", "est", "range", "stats", "merge", "ingest", "seal", "snapshot", "metrics", "health",
+    "quit",
 ];
 
 /// The per-verb series index of a parsed command.
@@ -38,11 +38,10 @@ fn verb_index(command: &Command) -> usize {
         Command::Merge { .. } => 4,
         Command::Ingest { .. } => 5,
         Command::Seal => 6,
-        Command::Flush => 7,
-        Command::Snapshot => 8,
-        Command::Metrics { .. } => 9,
-        Command::Health => 10,
-        Command::Quit => 11,
+        Command::Snapshot => 7,
+        Command::Metrics { .. } => 8,
+        Command::Health => 9,
+        Command::Quit => 10,
     }
 }
 
@@ -206,7 +205,6 @@ mod tests {
             Command::Merge { b: 4 },
             Command::Ingest { count: 1 },
             Command::Seal,
-            Command::Flush,
             Command::Snapshot,
             Command::Metrics { events: false },
             Command::Health,

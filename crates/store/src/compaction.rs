@@ -9,10 +9,10 @@
 //! one segment whose size promotes it to the next tier.  Small fresh seals
 //! therefore merge often and cheaply; large merged segments merge rarely.
 //!
-//! The policy only *selects*; the store runs the merge on its background
-//! seal workers against cloned segment handles and swaps the result in
-//! under a short write lock (see the crate docs' durability matrix for how
-//! the swap commits through the manifest).
+//! The policy only *selects*; the thread whose install filled the tier runs
+//! the merge against cloned segment handles, with no lock held, and swaps
+//! the result in under a short write lock (see the crate docs' durability
+//! matrix for how the swap commits through the manifest).
 //!
 //! Selection is a pure function of the `(seq, records)` list, so a given
 //! seal history always compacts the same way — the property the

@@ -18,9 +18,9 @@
 //! 3. **Compact** — segments of one partition are recombined by summing
 //!    their piecewise-constant estimates on the union of their boundaries
 //!    and re-running the merge DP.  A size-tiered [`CompactionPolicy`]
-//!    triggers rounds automatically at install time (run on the background
-//!    seal workers against cloned segment handles, swapped in under a
-//!    short write lock); [`SynopsisStore::merge_global`] recombines all
+//!    triggers rounds automatically at install time (run by the installing
+//!    thread against cloned segment handles, swapped in under a short
+//!    write lock); [`SynopsisStore::merge_global`] recombines all
 //!    partitions into one global `B`-bucket histogram (the candidate cut
 //!    points are exactly the partition/bucket edges).
 //! 4. **Serve** — range-sum/count estimates combine live memtables with
@@ -77,7 +77,8 @@
 //! end to end**.  Three artefacts share its directory, each CRC-checked:
 //!
 //! * **WAL** ([`wal`]) — every routed record, CRC-framed, group-committed
-//!   once per ingest call/batch; covers the live and mid-seal window.
+//!   once per ingest call per touched shard; covers the live and mid-seal
+//!   window.
 //! * **Segment blobs** — at install, each sealed segment is published as
 //!   `seg-<p>-<seq>.bin` in the block-structured `PDSB` v2 container
 //!   ([`blob`]): a prune-metadata block (item fence + presence filter) and
@@ -98,10 +99,10 @@
 //!
 //! | crash while the record/segment is… | crash outcome | I/O failure at the same stage (site) |
 //! |---|---|---|
-//! | buffered in a live memtable | replayed from the WAL (CRC-framed: a torn-but-parseable line is detected, not replayed wrong) | `wal-append` degrades before the memtable insert (nothing acknowledged, nothing lost); `wal-commit` degrades after it (the batch is unacknowledged but visible — the documented over-inclusion window) |
-//! | frozen, segment build in flight | replayed from the frozen WAL log | `wal-rotate` restores the records to the live memtable and degrades |
-//! | built, blob/manifest not yet written | replayed from the frozen WAL log | `blob-write` / `blob-publish` unfreeze the records back into the live memtable and WAL, then degrade |
-//! | **installed** | reloaded from its blob via the manifest | `manifest-install` unfreezes and degrades (the published blob becomes an orphan, swept at the next reopen); a failed `wal-retire` afterwards is counted, never fatal — the manifest entry already covers the log |
+//! | buffered in a live memtable | replayed from the WAL (CRC-framed: a torn-but-parseable line is detected, not replayed wrong) | `wal-append` degrades before the memtable insert (nothing acknowledged, nothing lost; the counters do not move, though another shard's sub-batch of the same call — a split x-tuple's other half included — may have landed); `wal-commit` degrades after it (the batch is unacknowledged but visible — the documented over-inclusion window) |
+//! | frozen, segment build in flight (no shard lock held; queries read the frozen memtable) | replayed from the frozen WAL log | `wal-rotate` restores the records to the live memtable and degrades |
+//! | built, blob/manifest not yet written (still off-lock) | replayed from the frozen WAL log | `blob-write` / `blob-publish` unfreeze the records back into the live memtable and WAL, then degrade |
+//! | **installed** (manifest entry written; the short write lock swaps the segment in and retires the frozen log) | reloaded from its blob via the manifest | `manifest-install` unfreezes and degrades (the published blob becomes an orphan, swept at the next reopen); a failed `wal-retire` afterwards is counted, never fatal — the manifest entry already covers the log |
 //! | mid-compaction (merge or swap) | inputs stay authoritative until the manifest publish; the half-done output blob is swept at reopen | `manifest-replace` degrades with the inputs still authoritative; a failed superseded-blob `cleanup` is counted, never fatal |
 //! | being recovered at reopen | n/a | `recovery-read` / `recovery-commit` abort [`SynopsisStore::open_with_wal`] with a [`PdsError`] — an open never half-succeeds or degrades |
 //! | installed, synopsis block loaded lazily at first query | n/a (blocks reload from the blob) | `block-read` degrades at first touch: the segment contributes `0.0`, reads keep serving, writes refuse; a clean reopen recovers |
@@ -132,19 +133,46 @@
 //! ## Concurrency
 //!
 //! The store is **concurrent and sharded**: every partition sits behind its
-//! own reader–writer lock, all mutating operations take `&self`, batches
-//! route to shards lock-free ([`SynopsisStore::ingest_batch`]), and sealing
-//! can run on background workers
-//! ([`SynopsisStore::with_background_sealing`]) so ingest, sealing and
-//! serving overlap.  Compaction holds the shard write lock only to reserve
-//! a round and to swap the merged segment in — the merge DP runs against
-//! cloned segment handles.  Per-partition seal sequence numbers keep
-//! results **deterministic**: the same record stream yields byte-identical
-//! sealed segments at every thread count (pinned by the
-//! `store_concurrency` suite; automatic compaction schedules rounds by
-//! policy, so its *estimates* — not its byte layout — are the cross-thread
-//! invariant).  Thread counts come from `pds_core::pool` (the
-//! `PDS_THREADS` environment variable or `pool::set_num_threads`).
+//! own reader–writer lock and all mutating operations take `&self`.  The
+//! write side exists once:
+//!
+//! * **One ingest path.**  [`SynopsisStore::ingest_batch`] routes a batch
+//!   to shards lock-free, inserts each shard's sub-batch under its lock and
+//!   group-commits its WAL once; [`SynopsisStore::ingest`] is a batch of
+//!   one.
+//! * **One seal sequence, never under a shard guard.**  A full memtable is
+//!   *frozen* under the write lock (an `O(1)` swap plus the WAL rotation),
+//!   the guard drops, and the thread that froze it builds the segment,
+//!   publishes the blob and commits the manifest entry with no lock held;
+//!   a short write lock then swaps the segment in (or, on failure, returns
+//!   the records to the live memtable).  Threshold seals inside ingest,
+//!   [`SynopsisStore::seal_partition`] and [`SynopsisStore::seal_all`] all
+//!   run that one sequence, and `pds-analyze` rejects a call to it under a
+//!   live guard.  Compaction likewise holds the write lock only to reserve
+//!   a round and to swap the merged segment in.
+//! * **What a query sees while a seal is in flight.**  The frozen memtable
+//!   stays on its shard (shared with the sealing thread) until the segment
+//!   installs, and the swap is atomic under the write lock: a reader — the
+//!   store's own queries, a [`SnapshotView`], a clone — sees the records
+//!   either as the frozen memtable or as the segment, never neither and
+//!   never both.  Readers and other writers of the same partition wait only
+//!   for inserts and the swap, not for the build or the disk.
+//! * **Determinism.**  Seal *k* of a partition — and the compaction chain
+//!   it triggers — completes before the sealing thread inserts record
+//!   *k+1*, and per-partition seal sequence numbers place segments
+//!   regardless of which concurrent seal installs first.  So the same
+//!   per-partition record sequences yield byte-identical sealed segments at
+//!   every thread count and every batch cut (pinned by the
+//!   `store_concurrency` suite).  When several threads ingest into the
+//!   *same* partition the interleaving is the scheduler's, so there record
+//!   conservation and mass — not byte layout — are the invariant.
+//! * [`SynopsisStore::snapshot`] racing a writer errs (the writer's new
+//!   records are live again after the seal) rather than drop records;
+//!   [`SynopsisStore::to_binary`] refuses while any memtable is live or
+//!   frozen.
+//!
+//! Thread counts come from `pds_core::pool` (the `PDS_THREADS` environment
+//! variable or `pool::set_num_threads`).
 //!
 //! ## Observability
 //!

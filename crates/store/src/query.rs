@@ -523,8 +523,8 @@ impl SynopsisStore {
                 Some(Captured {
                     segments: Cow::Owned(shard.handles()),
                     live: shard.memtable.range_sum(lo, hi),
-                    // A memtable frozen for an in-flight background seal
-                    // still carries its mass until the segment installs.
+                    // A memtable frozen for an in-flight seal still
+                    // carries its mass until the segment installs.
                     frozen: shard
                         .frozen
                         .iter()
@@ -776,7 +776,7 @@ mod tests {
     fn merge_global_rejects_zero_budget() {
         let store = SynopsisStore::new(config(16, 4, 2)).unwrap();
         store
-            .ingest_all(
+            .ingest_batch(
                 basic_stream(BasicStreamConfig {
                     n: 16,
                     skew: 0.5,
@@ -813,7 +813,7 @@ mod tests {
     fn snapshot_view_is_bitwise_equal_and_isolated() {
         let store = SynopsisStore::new(config(64, 4, 8)).unwrap();
         store
-            .ingest_all(
+            .ingest_batch(
                 basic_stream(BasicStreamConfig {
                     n: 64,
                     skew: 0.5,
@@ -840,7 +840,7 @@ mod tests {
         let live_before = store.range_estimate(0, 63);
         // Later ingest and sealing change the store, never the view.
         store
-            .ingest_all(
+            .ingest_batch(
                 basic_stream(BasicStreamConfig {
                     n: 64,
                     skew: 0.5,

@@ -1,6 +1,5 @@
-//! The partitioned synopsis store: concurrent sharded routing, sealing
-//! (inline or on background workers), compaction, queries and whole-store
-//! persistence.
+//! The partitioned synopsis store: concurrent sharded routing, sealing,
+//! compaction, queries and whole-store persistence.
 //!
 //! ## Concurrency model
 //!
@@ -9,26 +8,37 @@
 //! shards overlapping their range, and independent partitions never contend.
 //! All mutating operations take `&self`, so one store can be shared across
 //! ingest threads (`Arc<SynopsisStore>` or scoped borrows) without external
-//! locking.  Batch ingest ([`SynopsisStore::ingest_batch`]) routes records
-//! to shards **lock-free** — one pass over the batch groups records
-//! per-partition in arrival order — then inserts each partition's sub-batch
-//! on the scoped thread pool (`pds_core::pool`), taking each shard lock once
-//! per batch.
+//! locking.
 //!
-//! Sealing freezes the memtable under the shard lock (an `O(1)` swap and,
-//! with a WAL, one file rename) and builds the segment *outside* the ingest
-//! path: inline on the calling thread by default, or on the store's
-//! background workers when [`SynopsisStore::with_background_sealing`] is
-//! enabled, so ingest, sealing and serving overlap.  Per-partition seal
-//! **sequence numbers** keep segment order deterministic regardless of which
-//! worker finishes first — the same record stream produces byte-identical
-//! sealed segments at every thread count, a property the
-//! `store_concurrency` suite pins.
+//! **One ingest path.**  [`SynopsisStore::ingest_batch`] routes records to
+//! shards **lock-free** — one pass over the batch groups records
+//! per-partition in arrival order — then inserts each partition's sub-batch
+//! on the scoped thread pool (`pds_core::pool`), group-committing the
+//! shard's WAL once per call.  [`SynopsisStore::ingest`] is a batch of one.
+//!
+//! **One seal sequence, never under a shard guard.**  A memtable becomes a
+//! segment in exactly one way: it is *frozen* under the shard write lock (an
+//! `O(1)` swap and, with a WAL, one file rename), the guard drops, the
+//! thread that froze it builds the segment and commits it durably (blob,
+//! then manifest entry) with **no lock held**, and a short write lock swaps
+//! the segment in — or, on failure, returns the records to the live
+//! memtable.  An ingest call that reaches the seal threshold runs that
+//! sequence itself before inserting the rest of its sub-batch, so seal *k*
+//! of a partition (and the compaction chain it triggers) completes before
+//! record *k+1* is inserted on that thread: the sealed state is a function
+//! of the per-partition record sequence, whatever the batch cut.  While a
+//! seal is in flight its frozen memtable stays on the shard's `frozen`
+//! list, so queries, snapshot views and clones keep seeing its records;
+//! other threads keep ingesting into (and may freeze and seal) the same
+//! partition, and per-partition seal **sequence numbers** place each
+//! segment at its position regardless of which seal installs first — the
+//! same per-partition record streams produce byte-identical sealed segments
+//! at every thread count, a property the `store_concurrency` suite pins.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockWriteGuard};
 
 use pds_core::binio::{ByteReader, ByteWriter};
 use pds_core::error::{PdsError, Result};
@@ -50,9 +60,6 @@ use crate::query::{MergeCache, SegmentHandle};
 use crate::segment::{Segment, SegmentSynopsis, SynopsisKind};
 use crate::telemetry::{IoPolicy, StoreTelemetry};
 use crate::wal::{PartitionWal, WalSync};
-
-/// One x-tuple's alternatives grouped by owning partition.
-type SplitAlternatives = BTreeMap<usize, Vec<(usize, f64)>>;
 
 /// A partition of the item domain `[0, n)` into contiguous ranges.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,9 +148,8 @@ pub struct StoreConfig {
     pub synopsis: SynopsisKind,
     /// Automatic size-tiered compaction: when set, every segment install
     /// evaluates the policy (once the partition has no seals in flight) and
-    /// full tiers are merged in the background (on the seal workers when
-    /// [`SynopsisStore::with_background_sealing`] is enabled, inline
-    /// otherwise).  `None` (the default) keeps compaction manual
+    /// the installing thread merges full tiers right after the install, off
+    /// the shard lock.  `None` (the default) keeps compaction manual
     /// ([`SynopsisStore::compact_partition`] / `compact_all`).  A runtime
     /// knob: not persisted by [`SynopsisStore::to_binary`].
     pub compaction: Option<CompactionPolicy>,
@@ -207,17 +213,16 @@ impl StoreConfig {
 /// server's `STATS JSON` command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoreStats {
-    /// Stream records accepted by [`SynopsisStore::ingest`].
+    /// Stream records accepted by [`SynopsisStore::ingest_batch`].
     pub ingested_records: u64,
     /// Records not yet sealed into a segment: live memtables plus memtables
-    /// frozen for an in-flight background seal (queries see both).
+    /// frozen for a seal in flight on another thread (queries see both).
     pub live_records: u64,
     /// Seal operations performed (counted when the memtable freezes).
     pub seals: u64,
-    /// Segments currently stored (compaction shrinks this; an in-flight
-    /// background seal's segment appears — moving its records out of
-    /// `live_records` — once the build installs, so
-    /// [`SynopsisStore::flush`] first for a settled view).
+    /// Segments currently stored (compaction shrinks this; the segment of a
+    /// seal in flight on another thread appears — moving its records out
+    /// of `live_records` — once that seal installs).
     pub segments: usize,
     /// X-tuples whose alternatives were split across partitions.
     pub split_tuples: u64,
@@ -283,11 +288,11 @@ pub(crate) struct Shard {
     pub(crate) memtable: Memtable,
     /// Memtables frozen for sealing whose segment build is still in flight,
     /// by seal sequence: kept readable (shared with the [`SealTask`]) so a
-    /// query racing a background seal never transiently loses the frozen
-    /// records' mass; the entry is dropped when its segment installs.
+    /// query racing a seal never transiently loses the frozen records'
+    /// mass; the entry is dropped when its segment installs.
     pub(crate) frozen: Vec<(u64, Arc<Memtable>)>,
     /// Sealed segments, ascending by sequence; the sequence restores
-    /// deterministic order when background workers finish out of order.
+    /// deterministic order when concurrent seals install out of order.
     pub(crate) segments: Vec<SealedSegment>,
     /// Next seal sequence number for this partition.
     next_seq: u64,
@@ -325,8 +330,7 @@ struct Durable {
     manifest: Mutex<Manifest>,
 }
 
-/// The shared, lock-protected core of a store (shards + counters); the
-/// background seal workers hold an `Arc` of this.
+/// The lock-protected core of a store (shards + counters).
 #[derive(Debug)]
 pub(crate) struct StoreInner {
     pub(crate) config: StoreConfig,
@@ -432,85 +436,26 @@ struct CompactTask {
     inputs: Vec<(u64, Arc<SegmentHandle>)>,
 }
 
-/// Work items of the background workers.
-#[derive(Debug)]
-enum Task {
-    Seal(SealTask),
-    Compact(CompactTask),
-}
-
-#[derive(Debug, Default)]
-struct SealQueueState {
-    tasks: VecDeque<Task>,
-    /// Tasks submitted but not yet installed (queued + building).
-    pending: usize,
-    closed: bool,
-    /// First background build error; surfaced by [`SynopsisStore::flush`].
-    error: Option<PdsError>,
-}
-
-#[derive(Debug, Default)]
-struct SealQueue {
-    state: Mutex<SealQueueState>,
-    /// Signals workers that a task arrived (or the queue closed).
-    work: Condvar,
-    /// Signals waiters that `pending` reached zero.
-    idle: Condvar,
-}
-
-/// Handle to the background seal workers.
-#[derive(Debug)]
-struct Sealer {
-    queue: Arc<SealQueue>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl Sealer {
-    fn submit(&self, task: Task) {
-        let mut state = self.queue.state.lock().expect("seal queue poisoned");
-        state.pending += 1;
-        state.tasks.push_back(task);
-        drop(state);
-        self.queue.work.notify_one();
-    }
-}
-
-impl Drop for Sealer {
-    fn drop(&mut self) {
-        {
-            let mut state = self.queue.state.lock().expect("seal queue poisoned");
-            state.closed = true;
-        }
-        self.queue.work.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
 /// The partitioned streaming-ingest synopsis store (see the crate docs for
 /// the lifecycle and the module docs for the concurrency model).
 #[derive(Debug)]
 pub struct SynopsisStore {
-    pub(crate) inner: Arc<StoreInner>,
-    sealer: Option<Sealer>,
+    pub(crate) inner: StoreInner,
 }
 
 /// A deep point-in-time copy: shard contents and counters are snapshotted;
-/// the clone has **no** background workers, **no** write-ahead log and
-/// **no** durable directory (file handles and manifests cannot be
-/// duplicated meaningfully — two stores appending to one manifest would
-/// corrupt it).  Memtables frozen for an in-flight background seal are
-/// folded back into the clone's live memtable (no records are lost), and
-/// the clone's `seals` counter is **decremented once per folded-back
-/// freeze**: in a clone, `seals` counts exactly the freezes whose segment
-/// the clone holds (so with no compaction, `stats().seals == segments as
-/// u64` — pinned by `clone_seals_counter_excludes_in_flight_freezes`),
-/// never a freeze whose outcome the clone cannot see.  An in-flight
-/// compaction's inputs are still present, so the clone holds the
-/// consistent pre-swap state; [`SynopsisStore::flush`] first for settled
-/// counters.  Telemetry is process-local and starts fresh (all zeros) in
-/// the clone.
+/// the clone has **no** write-ahead log and **no** durable directory (file
+/// handles and manifests cannot be duplicated meaningfully — two stores
+/// appending to one manifest would corrupt it).  Memtables frozen for a
+/// seal in flight on another thread are folded back into the clone's live
+/// memtable (no records are lost), and the clone's `seals` counter is
+/// **decremented once per folded-back freeze**: in a clone, `seals` counts
+/// exactly the freezes whose segment the clone holds (so with no
+/// compaction, `stats().seals == segments as u64` — pinned by
+/// `clone_seals_counter_excludes_in_flight_freezes`), never a freeze whose
+/// outcome the clone cannot see.  An in-flight compaction's inputs are
+/// still present, so the clone holds the consistent pre-swap state.
+/// Telemetry is process-local and starts fresh (all zeros) in the clone.
 impl Clone for SynopsisStore {
     fn clone(&self) -> Self {
         let mut folded_back = 0u64;
@@ -522,8 +467,7 @@ impl Clone for SynopsisStore {
                 let shard = s.read().unwrap_or_else(|e| e.into_inner());
                 // Fold any in-flight frozen memtables back into the cloned
                 // live buffer (newest-first prepending restores arrival
-                // order), so a clone racing a background seal still holds
-                // every record.
+                // order), so a clone racing a seal still holds every record.
                 let mut memtable = shard.memtable.clone();
                 for (_, frozen) in shard.frozen.iter().rev() {
                     memtable.absorb_front((**frozen).clone());
@@ -564,7 +508,7 @@ impl Clone for SynopsisStore {
             .load(Ordering::Relaxed)
             .saturating_sub(folded_back);
         SynopsisStore {
-            inner: Arc::new(StoreInner {
+            inner: StoreInner {
                 shards,
                 durable: None,
                 ingested: AtomicU64::new(self.inner.ingested.load(Ordering::Relaxed)),
@@ -580,8 +524,7 @@ impl Clone for SynopsisStore {
                 version: AtomicU64::new(0),
                 merge_cache: Mutex::new(None),
                 config: self.inner.config.clone(),
-            }),
-            sealer: None,
+            },
         }
     }
 }
@@ -593,8 +536,7 @@ impl SynopsisStore {
     /// Version stamp of the whole-store binary encoding.
     pub const BINARY_VERSION: u16 = 1;
 
-    /// Creates an empty store (no background workers, no write-ahead log,
-    /// no durable directory).
+    /// Creates an empty store (no write-ahead log, no durable directory).
     pub fn new(config: StoreConfig) -> Result<Self> {
         let telemetry = Arc::new(StoreTelemetry::new(
             config.partitions.len(),
@@ -630,7 +572,7 @@ impl SynopsisStore {
             })
             .collect();
         Ok(SynopsisStore {
-            inner: Arc::new(StoreInner {
+            inner: StoreInner {
                 config,
                 shards,
                 durable,
@@ -641,8 +583,7 @@ impl SynopsisStore {
                 degraded: Arc::new(OnceLock::new()),
                 version: AtomicU64::new(0),
                 merge_cache: Mutex::new(None),
-            }),
-            sealer: None,
+            },
         })
     }
 
@@ -755,7 +696,7 @@ impl SynopsisStore {
                 let manifest = durable.manifest.lock().expect("manifest lock poisoned");
                 manifest.covered_seqs(p)
             };
-            replays.push(PartitionWal::scan_skipping_with(dir, p, &covered, &policy)?);
+            replays.push(PartitionWal::scan(dir, p, &covered, &policy)?);
         }
         // Phase 2: replay into the memtables.  Records were already routed
         // (x-tuples split per partition) when first logged; sealing is
@@ -776,14 +717,8 @@ impl SynopsisStore {
         // Phase 3: publish each partition's recovered live log atomically
         // and attach the append handles.
         for (p, replay) in replays.iter().enumerate() {
-            let wal = PartitionWal::commit_synced_with(
-                dir,
-                p,
-                &replay.records,
-                replay,
-                store.inner.config.wal_sync,
-                policy.clone(),
-            )?;
+            let wal =
+                PartitionWal::commit(dir, p, replay, store.inner.config.wal_sync, policy.clone())?;
             store.write_shard(p).wal = Some(wal);
         }
         store.inner.telemetry.record_recovery(
@@ -824,96 +759,6 @@ impl SynopsisStore {
         } else {
             vfs::write("recovery-commit", &path, format!("{stamp}\n").as_bytes())
                 .map_err(|e| meta_io("writing the partition stamp", e))?;
-        }
-        Ok(())
-    }
-
-    /// Moves sealing onto `workers` background threads: reaching the seal
-    /// threshold now freezes the memtable (an `O(1)` swap under the shard
-    /// lock) and hands the segment build to a worker, so ingest never waits
-    /// on synopsis construction.  [`SynopsisStore::flush`] waits for
-    /// in-flight builds and surfaces their errors; dropping the store joins
-    /// the workers after draining the queue.  Segment order (and therefore
-    /// [`SynopsisStore::to_binary`] output) stays byte-identical to inline
-    /// sealing.
-    pub fn with_background_sealing(mut self, workers: usize) -> Self {
-        let queue = Arc::new(SealQueue::default());
-        let workers = (1..=workers.max(1))
-            .map(|_| {
-                let inner = Arc::clone(&self.inner);
-                let queue = Arc::clone(&queue);
-                std::thread::spawn(move || Self::seal_worker(&inner, &queue))
-            })
-            .collect();
-        self.sealer = Some(Sealer { queue, workers });
-        self
-    }
-
-    fn seal_worker(inner: &StoreInner, queue: &SealQueue) {
-        let park = |e: PdsError| {
-            let mut state = queue.state.lock().expect("seal queue poisoned");
-            state.error.get_or_insert(e);
-        };
-        loop {
-            let task = {
-                let mut state = queue.state.lock().expect("seal queue poisoned");
-                loop {
-                    if let Some(task) = state.tasks.pop_front() {
-                        break Some(task);
-                    }
-                    if state.closed {
-                        break None;
-                    }
-                    state = queue.work.wait(state).expect("seal queue poisoned");
-                }
-            };
-            let Some(task) = task else { return };
-            // A seal install (or a compaction round) can trigger the next
-            // compaction round; it goes back on the queue so flush() keeps
-            // waiting for the whole chain.
-            let outcome = match task {
-                Task::Seal(task) => {
-                    // A degraded store skips the build entirely: the
-                    // frozen records go back to the live memtable (still
-                    // queryable) and the parked error reaches flush().
-                    let built = inner
-                        .check_writable()
-                        .and_then(|()| Self::build_task(inner, &task));
-                    Self::complete_seal(inner, None, task, built)
-                }
-                Task::Compact(task) => Self::run_compact_task(inner, task),
-            };
-            let follow_up = outcome.unwrap_or_else(|e| {
-                park(e);
-                None
-            });
-            let mut state = queue.state.lock().expect("seal queue poisoned");
-            if let Some(next) = follow_up {
-                state.pending += 1;
-                state.tasks.push_back(Task::Compact(next));
-                queue.work.notify_one();
-            }
-            state.pending -= 1;
-            if state.pending == 0 {
-                queue.idle.notify_all();
-            }
-        }
-    }
-
-    /// Waits until every background seal — and every compaction round it
-    /// chained — is installed, and returns the first build error, if any
-    /// (a failed build's records are restored to their live memtable, so
-    /// the error is retryable: seal again or snapshot).  A no-op without
-    /// background sealing.
-    pub fn flush(&self) -> Result<()> {
-        if let Some(sealer) = &self.sealer {
-            let mut state = sealer.queue.state.lock().expect("seal queue poisoned");
-            while state.pending > 0 {
-                state = sealer.queue.idle.wait(state).expect("seal queue poisoned");
-            }
-            if let Some(e) = state.error.take() {
-                return Err(e);
-            }
         }
         Ok(())
     }
@@ -986,78 +831,25 @@ impl SynopsisStore {
         self.inner.degraded.get().cloned()
     }
 
-    /// Appends one stream record, routing it to the partition(s) owning its
-    /// items; a partition whose memtable reaches the seal threshold is
-    /// sealed automatically (inline, or on the background workers when
-    /// enabled).  X-tuples spanning several partitions are split per
-    /// partition (see the crate docs for the semantics).  Thread-safe
-    /// through `&self`.
+    /// Appends one stream record: a batch of one, with everything
+    /// [`SynopsisStore::ingest_batch`] documents (x-tuples spanning several
+    /// partitions are split per partition, each touched shard's WAL is
+    /// group-committed once, a partition whose memtable reaches the seal
+    /// threshold is sealed before the call returns).  Thread-safe through
+    /// `&self`.
     ///
     /// # Errors
     ///
     /// Returns [`PdsError::Degraded`] without touching any state once the
     /// store has entered degraded read-only mode (see the crate docs).
     pub fn ingest(&self, record: StreamRecord) -> Result<()> {
-        self.inner.check_writable()?;
-        record.validate()?;
-        let mut compactions: Vec<CompactTask> = Vec::new();
-        match record {
-            StreamRecord::Basic { item, .. } | StreamRecord::ValueDistribution { item, .. } => {
-                let p = self.inner.config.partitions.partition_of(item)?;
-                let inserted = {
-                    let mut shard = self.write_shard(p);
-                    // analyze:allow(lock-discipline) the shard lock is the WAL group-commit serialisation point by design; the append goes to this shard's own log only
-                    self.insert_locked(p, &mut shard, record).and_then(|task| {
-                        compactions.extend(task);
-                        // analyze:allow(lock-discipline) commit of this shard's own WAL; acknowledging before the flush would lose acknowledged records on crash
-                        self.commit_wal_locked(&mut shard)
-                    })
-                };
-                if let Err(e) = inserted {
-                    // A round reserved by the seal still runs even when the
-                    // WAL commit failed, so the partition is never left
-                    // flagged busy.
-                    let _ = self.run_compactions(compactions);
-                    return Err(e);
-                }
-                self.inner.ingested.fetch_add(1, Ordering::Relaxed);
-            }
-            StreamRecord::Alternatives(alts) => {
-                let (by_partition, split) = self.split_x_tuple(&alts)?;
-                self.inner.split_tuples.fetch_add(split, Ordering::Relaxed);
-                self.inner.ingested.fetch_add(1, Ordering::Relaxed);
-                let mut first_error = None;
-                for (p, sub) in by_partition {
-                    let mut shard = self.write_shard(p);
-                    let inserted = self
-                        // analyze:allow(lock-discipline) per-sub-tuple append to this shard's own WAL; the shard lock is the designed commit serialisation point
-                        .insert_locked(p, &mut shard, StreamRecord::Alternatives(sub))
-                        .and_then(|task| {
-                            compactions.extend(task);
-                            // analyze:allow(lock-discipline) commit of this shard's own WAL under its own lock; no other shard's lock is ever taken here
-                            self.commit_wal_locked(&mut shard)
-                        });
-                    if let Err(e) = inserted {
-                        first_error = Some(e);
-                        break;
-                    }
-                }
-                // Reserved compaction rounds run even on error, so a
-                // partition is never left flagged busy.
-                let compacted = self.run_compactions(compactions);
-                return match first_error {
-                    Some(e) => Err(e),
-                    None => compacted,
-                };
-            }
-        }
-        self.run_compactions(compactions)
+        self.ingest_batch(std::iter::once(record))
     }
 
     /// The group-commit boundary of one shard: flushes the WAL appends of
-    /// the current ingest call (or the shard's whole sub-batch), adding
-    /// `File::sync_data` on the [`WalSync::Fsync`] tier — one flush per
-    /// batch per touched shard, never one per record.
+    /// the current ingest call's sub-batch, adding `File::sync_data` on the
+    /// [`WalSync::Fsync`] tier — one flush per call per touched shard,
+    /// never one per record.
     fn commit_wal_locked(&self, shard: &mut Shard) -> Result<()> {
         if let Some(wal) = shard.wal.as_mut() {
             let sw = self.inner.telemetry.maybe_start();
@@ -1069,97 +861,35 @@ impl SynopsisStore {
         Ok(())
     }
 
-    /// Runs inline compaction chains (each round may select a follow-up).
-    /// Only the inline paths produce tasks here — with background sealing
-    /// the rounds run on the workers and [`SynopsisStore::flush`] awaits
-    /// them.
-    fn run_compactions(&self, tasks: Vec<CompactTask>) -> Result<()> {
-        // Every reserved round must run (or fail through run_compact_task,
-        // which clears its partition's flag): bailing out mid-list would
-        // leave the remaining tasks' partitions flagged busy forever.
-        let mut first_error = None;
-        for task in tasks {
-            let mut next = Some(task);
-            while let Some(task) = next {
-                match Self::run_compact_task(&self.inner, task) {
-                    Ok(follow_up) => next = follow_up,
-                    Err(e) => {
-                        first_error.get_or_insert(e);
-                        next = None;
-                    }
-                }
-            }
+    /// Runs a reserved compaction round (if any) and every follow-up round
+    /// it selects, with no lock held.  A failed round has already cleared
+    /// its partition's `compacting` flag and reserves no follow-up, so the
+    /// chain simply ends with the error.
+    fn run_compaction_chain(&self, mut next: Option<CompactTask>) -> Result<()> {
+        while let Some(task) = next {
+            next = Self::run_compact_task(&self.inner, task)?;
         }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Records per [`SynopsisStore::ingest_all`] chunk: large enough to
-    /// amortise shard locking and pool dispatch, small enough to bound the
-    /// routing buffer.
-    const INGEST_CHUNK: usize = 8192;
-
-    /// Appends every record of an iterator by routing fixed-size chunks into
-    /// reused per-partition buffers and inserting each partition's sub-batch
-    /// with one shard-lock acquisition (in parallel on the thread pool), so
-    /// shard locks are taken once per chunk, not once per record.  Chunking
-    /// does not affect the result: each partition still sees exactly its
-    /// sub-sequence of records in arrival order.
-    pub fn ingest_all(&self, records: impl IntoIterator<Item = StreamRecord>) -> Result<()> {
-        self.inner.check_writable()?;
-        let mut routed: Vec<Vec<StreamRecord>> = vec![Vec::new(); self.num_partitions()];
-        let mut pending = 0usize;
-        let mut split = 0u64;
-        let flush_counts = |pending: &mut usize, split: &mut u64| {
-            self.inner
-                .ingested
-                .fetch_add(*pending as u64, Ordering::Relaxed);
-            self.inner.split_tuples.fetch_add(*split, Ordering::Relaxed);
-            (*pending, *split) = (0, 0);
-        };
-        for record in records {
-            match self.route_one(record, &mut routed) {
-                Ok(was_split) => {
-                    split += was_split;
-                    pending += 1;
-                }
-                Err(e) => {
-                    // Same semantics as the old per-record loop: every valid
-                    // record before the failing one is ingested (and only
-                    // then counted), then the error surfaces.
-                    self.insert_routed(&mut routed)?;
-                    flush_counts(&mut pending, &mut split);
-                    return Err(e);
-                }
-            }
-            if pending == Self::INGEST_CHUNK {
-                self.insert_routed(&mut routed)?;
-                flush_counts(&mut pending, &mut split);
-            }
-        }
-        self.insert_routed(&mut routed)?;
-        flush_counts(&mut pending, &mut split);
         Ok(())
     }
 
-    /// Appends a batch of records using the scoped thread pool: the batch is
-    /// routed to per-partition sub-batches lock-free (one pass, arrival
-    /// order preserved within each partition), then every partition's
-    /// sub-batch is inserted on its own pool task, taking each shard lock
-    /// once.  Because each partition sees exactly the sub-sequence of
-    /// records it owns — in arrival order — the resulting state is
-    /// **identical to serial ingest at every thread count**.
+    /// Appends a batch of records — the one way a record enters a memtable.
+    /// The batch is routed to per-partition sub-batches lock-free (one
+    /// pass, arrival order preserved within each partition), then every
+    /// partition's sub-batch is inserted on its own pool task and its WAL
+    /// group-committed once.  A partition whose memtable reaches the seal
+    /// threshold mid-batch is sealed (and its compaction chain run) off the
+    /// shard lock before the rest of its sub-batch is inserted.  Because
+    /// each partition sees exactly the sub-sequence of records it owns — in
+    /// arrival order, with the same seal points — the resulting state is
+    /// **identical to per-record ingest at every thread count and every
+    /// batch cut**.
     ///
-    /// Unlike [`SynopsisStore::ingest_all`] (which keeps the valid prefix
-    /// when a record fails validation), a **validation** error here rejects
-    /// the whole batch before anything is inserted — routing happens first,
-    /// so the batch is the all-or-nothing unit for invalid input.  An
-    /// **insert-time** error (a WAL write failure, an inline seal build
-    /// error) can still leave the batch partially applied across
-    /// partitions; such a failed batch is not added to the accepted-record
-    /// counters.
+    /// A **validation** error rejects the whole batch before anything is
+    /// inserted — routing happens first, so the batch is the all-or-nothing
+    /// unit for invalid input.  An **insert-time** error (a WAL write
+    /// failure, a seal build or commit error) can still leave the batch
+    /// partially applied across partitions; such a failed batch is not
+    /// added to the accepted-record counters.
     pub fn ingest_batch(&self, records: impl IntoIterator<Item = StreamRecord>) -> Result<()> {
         self.inner.check_writable()?;
         let mut routed: Vec<Vec<StreamRecord>> = vec![Vec::new(); self.num_partitions()];
@@ -1171,7 +901,7 @@ impl SynopsisStore {
         }
         // Count only after the inserts land, so a failed batch never
         // inflates the accepted-record counters.
-        self.insert_routed(&mut routed)?;
+        self.insert_routed(routed)?;
         self.inner.ingested.fetch_add(ingested, Ordering::Relaxed);
         self.inner.split_tuples.fetch_add(split, Ordering::Relaxed);
         Ok(())
@@ -1189,7 +919,12 @@ impl SynopsisStore {
                 Ok(0)
             }
             StreamRecord::Alternatives(alts) => {
-                let (by_partition, split) = self.split_x_tuple(&alts)?;
+                let mut by_partition: BTreeMap<usize, Vec<(usize, f64)>> = BTreeMap::new();
+                for (item, prob) in alts {
+                    let p = self.inner.config.partitions.partition_of(item)?;
+                    by_partition.entry(p).or_default().push((item, prob));
+                }
+                let split = u64::from(by_partition.len() > 1);
                 for (p, sub) in by_partition {
                     routed[p].push(StreamRecord::Alternatives(sub));
                 }
@@ -1198,87 +933,68 @@ impl SynopsisStore {
         }
     }
 
-    /// Splits an x-tuple's alternatives by owning partition.  Returns the
-    /// per-partition groups plus 1 when the tuple actually spans several
-    /// partitions — the single home of the splitting rule shared by every
-    /// ingest path (per-record and batched must never diverge).
-    fn split_x_tuple(&self, alts: &[(usize, f64)]) -> Result<(SplitAlternatives, u64)> {
-        let mut by_partition = SplitAlternatives::new();
-        for &(item, prob) in alts {
-            let p = self.inner.config.partitions.partition_of(item)?;
-            by_partition.entry(p).or_default().push((item, prob));
-        }
-        let split = u64::from(by_partition.len() > 1);
-        Ok((by_partition, split))
-    }
-
-    /// Drains the routing buffers into their shards, one pool task per
-    /// non-empty partition; buffer capacity is retained for the next chunk.
-    /// Inline compaction rounds triggered by auto-seals run after every
-    /// shard lock is released — even when a shard errored, so a reserved
-    /// round is never abandoned with its partition flagged busy.
-    fn insert_routed(&self, routed: &mut [Vec<StreamRecord>]) -> Result<()> {
-        let batches: Vec<(usize, &mut Vec<StreamRecord>)> = routed
-            .iter_mut()
+    /// Inserts the routed sub-batches into their shards, one pool task per
+    /// non-empty partition; the first error (in partition order) surfaces
+    /// after every task has finished.
+    fn insert_routed(&self, routed: Vec<Vec<StreamRecord>>) -> Result<()> {
+        let batches: Vec<(usize, Vec<StreamRecord>)> = routed
+            .into_iter()
             .enumerate()
             .filter(|(_, batch)| !batch.is_empty())
             .collect();
-        if batches.is_empty() {
-            return Ok(());
-        }
-        let results =
-            pool::parallel_map(batches, |(p, batch)| self.ingest_partition_batch(p, batch));
-        let mut compactions = Vec::new();
-        let mut first_error = None;
-        for (mut tasks, error) in results {
-            compactions.append(&mut tasks);
-            if let Some(e) = error {
-                first_error.get_or_insert(e);
-            }
-        }
-        let compacted = self.run_compactions(compactions);
-        match first_error {
-            Some(e) => Err(e),
-            None => compacted,
-        }
+        pool::parallel_map(batches, |(p, batch)| self.ingest_partition_batch(p, batch))
+            .into_iter()
+            .collect()
     }
 
-    /// Inserts one partition's sub-batch under one shard-lock acquisition,
-    /// group-committing the WAL once at the end.  Compaction rounds
-    /// reserved by inline auto-seals are returned **alongside** any error
-    /// (not instead of it), so the caller can always run them.
-    fn ingest_partition_batch(
-        &self,
-        p: usize,
-        records: &mut Vec<StreamRecord>,
-    ) -> (Vec<CompactTask>, Option<PdsError>) {
-        let mut compactions = Vec::new();
+    /// Inserts one partition's sub-batch, group-committing the shard's WAL
+    /// exactly once, at the end.  Records are inserted under the shard lock
+    /// until the sub-batch ends **or a memtable freezes**; at a freeze the
+    /// guard drops (the WAL rotation already flushed everything this window
+    /// appended), the frozen memtable is sealed off-lock by
+    /// [`SynopsisStore::seal_frozen`], and the remainder resumes under a
+    /// fresh guard — so seal *k* completes before record *k+1* of this
+    /// partition is inserted on this thread.  On the [`WalSync::Fsync`]
+    /// tier the records before a freeze are made durable by that seal's own
+    /// blob and manifest fsyncs, the remainder by the final commit.
+    fn ingest_partition_batch(&self, p: usize, records: Vec<StreamRecord>) -> Result<()> {
         let sw = self.inner.telemetry.maybe_start();
-        let mut shard = self.write_shard(p);
-        for record in records.drain(..) {
-            // analyze:allow(lock-discipline) batch ingest holds the shard lock across its own WAL appends on purpose: one group commit per batch is the whole point
-            match self.insert_locked(p, &mut shard, record) {
-                Ok(task) => compactions.extend(task),
-                Err(e) => return (compactions, Some(e)),
+        let mut records = records.into_iter();
+        loop {
+            let frozen = {
+                let mut shard = self.write_shard(p);
+                let mut frozen = None;
+                for record in records.by_ref() {
+                    // analyze:allow(lock-discipline) appends to this shard's own WAL (plus, at the threshold, the memtable swap and the rotation of that log) — the shard lock is the log's serialisation point; no build, blob or manifest I/O is reachable from here
+                    frozen = self.insert_locked(p, &mut shard, record)?;
+                    if frozen.is_some() {
+                        break;
+                    }
+                }
+                if frozen.is_none() {
+                    // analyze:allow(lock-discipline) the call's single group commit of this shard's own WAL; acknowledging before the flush would lose acknowledged records on a crash
+                    self.commit_wal_locked(&mut shard)?;
+                }
+                frozen
+            };
+            match frozen {
+                Some(task) => self.seal_frozen(task)?,
+                None => break,
             }
         }
-        // analyze:allow(lock-discipline) the batch's single group commit to this shard's own WAL
-        let error = self.commit_wal_locked(&mut shard).err();
-        drop(shard);
         self.inner.telemetry.record_batch(sw);
-        (compactions, error)
+        Ok(())
     }
 
-    /// Inserts one routed record into a locked shard (WAL first), sealing
-    /// when the threshold is reached.  Returns a compaction round when the
-    /// (inline) seal install filled a size tier — the caller runs it after
-    /// releasing the shard lock.
+    /// Inserts one routed record into a locked shard (WAL first).  When the
+    /// insert fills the memtable to the seal threshold it is frozen and the
+    /// task returned — the caller seals it after releasing the shard lock.
     fn insert_locked(
         &self,
         p: usize,
         shard: &mut Shard,
         record: StreamRecord,
-    ) -> Result<Option<CompactTask>> {
+    ) -> Result<Option<SealTask>> {
         if let Some(wal) = shard.wal.as_mut() {
             // Appends are not retryable (a partially buffered frame cannot
             // be rewound), so a failed append degrades immediately.  The
@@ -1291,14 +1007,15 @@ impl SynopsisStore {
         shard.memtable.insert(record)?;
         self.inner.telemetry.record_ingest(p);
         if shard.memtable.len() >= self.inner.config.seal_threshold {
-            return self.seal_locked(p, shard).map(|(_, task)| task);
+            return self.freeze(p, shard);
         }
         Ok(None)
     }
 
     /// Freezes a non-empty memtable for sealing: swaps in an empty memtable,
     /// assigns the seal sequence and rotates the WAL.  `O(1)` plus one file
-    /// rename; runs under the shard write lock.
+    /// rename; runs under the shard write lock.  The returned task goes to
+    /// [`SynopsisStore::seal_frozen`] once the guard has dropped.
     fn freeze(&self, p: usize, shard: &mut Shard) -> Result<Option<SealTask>> {
         if shard.memtable.is_empty() {
             return Ok(None);
@@ -1407,10 +1124,10 @@ impl SynopsisStore {
 
     /// The durable half of an install: encodes the segment's blob once,
     /// publishes it and appends the manifest record (the seal's commit
-    /// point) — all **before** the frozen WAL file retires.  Needs **no
-    /// shard lock**: the off-lock paths run it before acquiring one, so
-    /// seal commits never stall ingest or queries on the shard.  A no-op
-    /// (past its crash point) on a store without a durable directory.
+    /// point) — all **before** the frozen WAL file retires, and with **no
+    /// shard lock** held, so seal commits never stall ingest or queries on
+    /// the shard.  A no-op (past its crash point) on a store without a
+    /// durable directory.
     fn commit_durable(
         inner: &StoreInner,
         partition: usize,
@@ -1468,17 +1185,13 @@ impl SynopsisStore {
         Self::maybe_compaction(inner, shard, partition)
     }
 
-    /// Completes a frozen task — the one install sequence of every seal
-    /// path: durable commit (blob + manifest), then the in-memory swap
-    /// under the shard write lock.  The off-lock paths (background workers,
-    /// [`SynopsisStore::seal_all`]'s pool branch) pass `held: None` and the
-    /// lock is taken only for the swap, never for file I/O; the inline
-    /// path passes the guard it already holds.  A failed build or commit
-    /// never loses records: they rejoin the live memtable (ahead of any
-    /// newer arrivals) and the error surfaces.
+    /// Completes a frozen task with no lock held on entry: durable commit
+    /// (blob + manifest), then the shard write lock for the in-memory swap
+    /// only — never for file I/O beyond retiring the frozen log.  A failed
+    /// build or commit never loses records: they rejoin the live memtable
+    /// (ahead of any newer arrivals) and the error surfaces.
     fn complete_seal(
         inner: &StoreInner,
-        held: Option<&mut Shard>,
         task: SealTask,
         built: Result<Segment>,
     ) -> Result<Option<CompactTask>> {
@@ -1486,23 +1199,32 @@ impl SynopsisStore {
             Self::commit_durable(inner, task.partition, task.seq, &segment)?;
             Ok(segment)
         });
-        let mut guard;
-        let shard = match held {
-            Some(shard) => shard,
-            None => {
-                guard = inner.shards[task.partition]
-                    .write()
-                    .expect("shard lock poisoned");
-                &mut *guard
-            }
-        };
+        let mut shard = inner.shards[task.partition]
+            .write()
+            .expect("shard lock poisoned");
         match committed {
-            Ok(segment) => Ok(Self::install_in_memory(inner, shard, &task, segment)),
+            Ok(segment) => Ok(Self::install_in_memory(inner, &mut shard, &task, segment)),
             Err(e) => {
-                Self::unfreeze(inner, shard, task);
+                Self::unfreeze(inner, &mut shard, task);
                 Err(e)
             }
         }
+    }
+
+    /// **The one seal sequence** — the only way a frozen memtable becomes a
+    /// segment.  Runs on the thread that froze it, with **no shard lock
+    /// held** (calling it under a live guard is a `pds-analyze`
+    /// lock-discipline finding): build the segment, commit it durably, swap
+    /// it in under a short write lock, then run the compaction chain the
+    /// install reserved.  A store that degraded since the freeze skips the
+    /// build: the frozen records rejoin the live memtable, still queryable.
+    fn seal_frozen(&self, task: SealTask) -> Result<()> {
+        let built = self
+            .inner
+            .check_writable()
+            .and_then(|()| Self::build_task(&self.inner, &task));
+        let reserved = Self::complete_seal(&self.inner, task, built)?;
+        self.run_compaction_chain(reserved)
     }
 
     /// Evaluates the size-tiered policy after an install (or a completed
@@ -1547,7 +1269,8 @@ impl SynopsisStore {
     fn unfreeze(inner: &StoreInner, shard: &mut Shard, task: SealTask) {
         shard.frozen.retain(|&(s, _)| s != task.seq);
         // The shard's shared reference was just dropped, so this is the
-        // last one; clone only in the (unreachable) contended case.
+        // last one unless a snapshot view captured mid-seal still holds
+        // the frozen memtable; clone only then.
         let memtable = Arc::try_unwrap(task.memtable).unwrap_or_else(|shared| (*shared).clone());
         shard.memtable.absorb_front(memtable);
         if let (Some(wal), Some(frozen)) = (shard.wal.as_mut(), task.wal_frozen.as_deref()) {
@@ -1562,86 +1285,39 @@ impl SynopsisStore {
         inner.seals.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Seals (or schedules the seal of) the frozen task: background workers
-    /// when enabled, otherwise built inline under the held shard lock.  An
-    /// inline build failure restores the frozen records to the memtable
-    /// before surfacing the error.  The second return is the compaction
-    /// round an inline install triggered — run it after the lock drops.
-    fn seal_locked(&self, p: usize, shard: &mut Shard) -> Result<(bool, Option<CompactTask>)> {
-        let Some(task) = self.freeze(p, shard)? else {
-            return Ok((false, None));
+    /// Seals partition `p`'s memtable into an immutable segment (a no-op on
+    /// an empty memtable).  Returns whether a seal was performed.
+    pub fn seal_partition(&self, p: usize) -> Result<bool> {
+        self.inner.check_writable()?;
+        let frozen = {
+            let mut shard = self.write_shard(p);
+            // analyze:allow(lock-discipline) freeze swaps the memtable and rotates this shard's own WAL atomically with the swap; the build and the blob/manifest commit run in seal_frozen, after this guard drops
+            self.freeze(p, &mut shard)?
         };
-        match &self.sealer {
-            Some(sealer) => {
-                sealer.submit(Task::Seal(task));
-                Ok((true, None))
-            }
-            None => {
-                let built = Self::build_task(&self.inner, &task);
-                Self::complete_seal(&self.inner, Some(shard), task, built).map(|next| (true, next))
-            }
+        match frozen {
+            Some(task) => self.seal_frozen(task).map(|()| true),
+            None => Ok(false),
         }
     }
 
-    /// Seals partition `p`'s memtable into an immutable segment (a no-op on
-    /// an empty memtable).  Returns whether a seal was performed — or, with
-    /// background sealing, scheduled ([`SynopsisStore::flush`] waits for
-    /// it).
-    pub fn seal_partition(&self, p: usize) -> Result<bool> {
-        self.inner.check_writable()?;
-        let (sealed, compaction) = {
-            let mut shard = self.write_shard(p);
-            // analyze:allow(lock-discipline) freeze + WAL rotation must be atomic with the memtable swap; the expensive segment build runs after this guard drops
-            self.seal_locked(p, &mut shard)?
-        };
-        self.run_compactions(compaction.into_iter().collect())?;
-        Ok(sealed)
-    }
-
     /// Seals every non-empty memtable and waits for the resulting segments:
-    /// the freezes happen serially (cheap swaps), the segment builds run on
-    /// the background workers when enabled or on the scoped thread pool
-    /// otherwise, and installation order follows the seal sequence — the
+    /// the freezes happen serially (cheap swaps), then each frozen memtable
+    /// runs the one seal sequence on the scoped thread pool.  Partitions are
+    /// independent and installation follows the seal sequence, so the
     /// sealed state is identical to serial sealing at every thread count.
     pub fn seal_all(&self) -> Result<()> {
         self.inner.check_writable()?;
         let mut tasks = Vec::new();
         for p in 0..self.num_partitions() {
             let mut shard = self.write_shard(p);
-            // analyze:allow(lock-discipline) freeze only swaps the memtable and rotates this shard's own WAL; segment builds run outside the guard
+            // analyze:allow(lock-discipline) freeze only swaps the memtable and rotates this shard's own WAL; every build and blob/manifest commit runs in seal_frozen on the pool, after the guards have dropped
             if let Some(task) = self.freeze(p, &mut shard)? {
                 tasks.push(task);
             }
         }
-        match &self.sealer {
-            Some(sealer) => {
-                for task in tasks {
-                    sealer.submit(Task::Seal(task));
-                }
-                self.flush()
-            }
-            None => {
-                let built = pool::parallel_map(tasks, |task| {
-                    let result = Self::build_task(&self.inner, &task);
-                    (task, result)
-                });
-                let mut first_error = None;
-                let mut compactions = Vec::new();
-                for (task, result) in built {
-                    match Self::complete_seal(&self.inner, None, task, result) {
-                        Ok(next) => compactions.extend(next),
-                        Err(e) => {
-                            first_error.get_or_insert(e);
-                        }
-                    }
-                }
-                let compacted = self.run_compactions(compactions);
-                match first_error {
-                    Some(e) => Err(e),
-                    None => compacted,
-                }
-            }
-        }
+        pool::parallel_map(tasks, |task| self.seal_frozen(task))
+            .into_iter()
+            .collect()
     }
 
     /// Builds a compaction round's merged segment from the cloned input
@@ -1782,8 +1458,8 @@ impl SynopsisStore {
     /// Compacts partition `p`: its sealed segments are summed on the union
     /// of their bucket boundaries and re-bucketed to the segment budget via
     /// the merge DP, leaving one segment.  A no-op with fewer than two
-    /// segments, or while a background round is already running for the
-    /// partition ([`SynopsisStore::flush`] settles it).
+    /// segments, or while another thread's round is already running for
+    /// the partition.
     ///
     /// The shard write lock is held only to reserve the round and to swap
     /// the merged segment in — the merge DP runs against cloned segment
@@ -1810,7 +1486,7 @@ impl SynopsisStore {
                 inputs,
             }
         };
-        self.run_compactions(vec![task])
+        self.run_compaction_chain(Some(task))
     }
 
     /// Compacts every partition, one pool task per partition (partitions
@@ -1824,31 +1500,12 @@ impl SynopsisStore {
 
     /// Serialises the sealed state into the compact binary format.  Live
     /// memtable records are intentionally **not** persisted — the store
-    /// refuses to serialise while unsealed data exists (including seals
-    /// still in flight on background workers), so a snapshot can never
-    /// silently drop records; call [`SynopsisStore::snapshot`] to seal and
-    /// serialise in one step, or [`SynopsisStore::seal_all`] first.
+    /// refuses to serialise while unsealed data exists (a memtable frozen
+    /// for a seal in flight on another thread counts), so a snapshot can
+    /// never silently drop records; call [`SynopsisStore::snapshot`] to
+    /// seal and serialise in one step, or [`SynopsisStore::seal_all`]
+    /// first.
     pub fn to_binary(&self) -> Result<Vec<u8>> {
-        if let Some(sealer) = &self.sealer {
-            let state = sealer.queue.state.lock().expect("seal queue poisoned");
-            if state.pending > 0 || state.error.is_some() {
-                // An unacknowledged background failure also blocks
-                // persistence: the failed seal's records were restored to a
-                // memtable, but the error must reach the caller via
-                // flush(), not vanish behind a snapshot.
-                return Err(PdsError::InvalidParameter {
-                    message: format!(
-                        "store has {} background seal(s) in flight{}; call flush() before persisting",
-                        state.pending,
-                        if state.error.is_some() {
-                            " and an unreported seal error"
-                        } else {
-                            ""
-                        }
-                    ),
-                });
-            }
-        }
         let live = self.stats().live_records;
         if live > 0 {
             return Err(PdsError::InvalidParameter {
@@ -1890,8 +1547,10 @@ impl SynopsisStore {
         Ok(w.into_bytes())
     }
 
-    /// Seals every live memtable (waiting for background builds) and
-    /// serialises the result: the "persist everything now" entry point.
+    /// Seals every live memtable and serialises the result: the "persist
+    /// everything now" entry point.  Racing a concurrent writer it errs
+    /// (records that arrive after the seal are live again) rather than
+    /// drop them.
     /// Sealing — rather than copying raw records into the snapshot — keeps
     /// the binary format segment-only and the write amplification bounded;
     /// records that must survive *without* being sealed into synopses
@@ -2106,35 +1765,15 @@ pub(crate) mod tests {
         ])
         .collect();
         let serial = SynopsisStore::new(config(48, 4, 64)).unwrap();
-        serial.ingest_all(records.iter().cloned()).unwrap();
+        for record in &records {
+            serial.ingest(record.clone()).unwrap();
+        }
         let batched = SynopsisStore::new(config(48, 4, 64)).unwrap();
         batched.ingest_batch(records).unwrap();
         assert_eq!(batched.stats(), serial.stats());
         serial.seal_all().unwrap();
         batched.seal_all().unwrap();
         assert_eq!(batched.to_binary().unwrap(), serial.to_binary().unwrap());
-    }
-
-    #[test]
-    fn background_sealing_matches_inline_sealing_byte_for_byte() {
-        let records: Vec<StreamRecord> = basic_stream(BasicStreamConfig {
-            n: 32,
-            skew: 0.8,
-            seed: 5,
-        })
-        .take(400)
-        .collect();
-        let inline = SynopsisStore::new(config(32, 4, 16)).unwrap();
-        inline.ingest_all(records.iter().cloned()).unwrap();
-        inline.seal_all().unwrap();
-
-        let background = SynopsisStore::new(config(32, 4, 16))
-            .unwrap()
-            .with_background_sealing(3);
-        background.ingest_all(records.iter().cloned()).unwrap();
-        background.seal_all().unwrap();
-        assert_eq!(background.stats(), inline.stats());
-        assert_eq!(background.to_binary().unwrap(), inline.to_binary().unwrap());
     }
 
     #[test]
@@ -2194,7 +1833,7 @@ pub(crate) mod tests {
         })
         .take(200)
         .collect();
-        store.ingest_all(records).unwrap();
+        store.ingest_batch(records).unwrap();
         // Unsealed data blocks persistence.
         if store.stats().live_records > 0 {
             assert!(store.to_binary().is_err());
@@ -2485,7 +2124,7 @@ pub(crate) mod tests {
         })
         .take(40)
         .collect();
-        store.ingest_all(records).unwrap();
+        store.ingest_batch(records).unwrap();
         store.seal_all().unwrap();
         store.compact_all().unwrap();
         for p in 0..2 {
@@ -2596,8 +2235,8 @@ pub(crate) mod tests {
                 .unwrap();
         }
         // One completed seal in partition 0, then a freeze in partition 1
-        // held in-flight by hand (exactly the state a clone racing a
-        // background seal observes).
+        // held in-flight by hand (exactly the state a clone racing another
+        // thread's seal observes).
         store.seal_partition(0).unwrap();
         let task = {
             let mut shard = store.write_shard(1);
@@ -2622,7 +2261,7 @@ pub(crate) mod tests {
                 store.range_estimate(lo, 11).to_bits()
             );
         }
-        // Settle the original so its worker state stays consistent.
+        // Settle the original: the hand-held freeze goes back.
         let mut shard = store.write_shard(1);
         SynopsisStore::unfreeze(&store.inner, &mut shard, task);
         drop(shard);

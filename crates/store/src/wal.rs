@@ -51,15 +51,15 @@
 //!
 //! ## Recovery protocol (scan → re-ingest → commit)
 //!
-//! 1. [`PartitionWal::scan_skipping`] **reads** the frozen logs (in seal
-//!    order, skipping sequences the manifest already covers) and the live
-//!    log without deleting or truncating anything, so a parse error in any
+//! 1. `PartitionWal::scan` **reads** the frozen logs (in seal order,
+//!    skipping sequences the manifest already covers) and the live log
+//!    without deleting or truncating anything, so a parse error in any
 //!    partition — or a crash at any point before commit — leaves every log
 //!    intact for the next attempt.
 //! 2. The store re-ingests the replayed records into its memtables (with
 //!    auto-sealing suppressed, so the replayed set stays exactly the live
 //!    set).
-//! 3. [`PartitionWal::commit`] writes the replayed records to
+//! 3. `PartitionWal::commit` writes the replayed records to
 //!    `wal-<p>.log.tmp`, atomically renames it over the live log, deletes
 //!    the absorbed (and the manifest-covered) frozen logs, and returns the
 //!    append handle.
@@ -71,16 +71,23 @@
 //!
 //! ## Durability contract (group commit + fsync tier)
 //!
-//! Appends are buffered.  The store issues **one flush per ingest call**:
-//! per-record [`SynopsisStore::ingest`](crate::SynopsisStore::ingest)
-//! flushes its one shard, and the batch paths group-commit — every
-//! shard's sub-batch is appended lock-parallel without flushing, then each
-//! touched shard is flushed exactly once per batch
+//! Appends are buffered.  The store issues **one group commit per ingest
+//! call per touched shard**
+//! ([`SynopsisStore::ingest_batch`](crate::SynopsisStore::ingest_batch);
+//! a single-record `ingest` is a batch of one): every shard's sub-batch is
+//! appended lock-parallel without flushing, then flushed exactly once
 //! ([`PartitionWal::commit_group`]).  The default tier stops at
 //! `BufWriter::flush` (surviving process crashes); the opt-in
 //! [`WalSync::Fsync`](crate::WalSync) tier adds `File::sync_data` at the
 //! same group-commit boundaries (surviving power loss), amortised across
 //! the whole batch instead of taxing every record.
+//!
+//! A sub-batch that reaches the seal threshold freezes mid-call:
+//! [`PartitionWal::rotate`] flushes (but does not `sync_data`) everything
+//! appended so far into the frozen log, and the calling thread seals it
+//! before the call returns — on the fsync tier those records become
+//! power-loss durable through the seal's own blob and manifest fsyncs (the
+//! manifest entry supersedes the frozen log).
 
 use std::collections::BTreeSet;
 use std::fs::File;
@@ -264,7 +271,7 @@ fn read_framed_log(path: &Path, tolerate_torn_tail: bool) -> Result<Vec<StreamRe
 
 /// The outcome of scanning a partition's logs: every replayable record (in
 /// original arrival order) plus the frozen files that must be deleted once
-/// the records are safely re-logged by [`PartitionWal::commit`].
+/// the records are safely re-logged by `PartitionWal::commit`.
 #[derive(Debug)]
 pub struct WalReplay {
     /// Replayed records: uncovered frozen logs in seal order, then the live
@@ -310,24 +317,14 @@ impl PartitionWal {
     /// (frozen logs in seal order, then the live log) without deleting or
     /// truncating anything, so a failure anywhere in the replay leaves
     /// every log intact.  Stale `.tmp` staging files from a crashed
-    /// recovery are discarded.
+    /// recovery are discarded (a failed discard is counted through
+    /// `policy`, not dropped).
     ///
     /// Frozen logs whose seal sequence appears in `covered` are **not**
     /// replayed — their records are already carried by a manifest-installed
     /// segment (the manifest entry is the seal's commit point) — but they
     /// are still queued for deletion at commit.
-    pub fn scan_skipping(
-        dir: &Path,
-        partition: usize,
-        covered: &BTreeSet<u64>,
-    ) -> Result<WalReplay> {
-        Self::scan_skipping_with(dir, partition, covered, &IoPolicy::default())
-    }
-
-    /// [`PartitionWal::scan_skipping`] with the store's I/O policy
-    /// attached, so stale-staging cleanup failures are counted instead of
-    /// silently dropped.
-    pub(crate) fn scan_skipping_with(
+    pub(crate) fn scan(
         dir: &Path,
         partition: usize,
         covered: &BTreeSet<u64>,
@@ -375,56 +372,22 @@ impl PartitionWal {
         })
     }
 
-    /// [`PartitionWal::scan_skipping`] with nothing covered — every frozen
-    /// log replays.
-    pub fn scan(dir: &Path, partition: usize) -> Result<WalReplay> {
-        Self::scan_skipping(dir, partition, &BTreeSet::new())
-    }
-
     /// **Phase 3 of recovery** — atomically replaces the partition's live
-    /// log with exactly `live_records` (the replayed records now sitting in
-    /// the memtable): writes them to a `.tmp` staging file, renames it over
-    /// the live log, then deletes the frozen files the replay absorbed.
-    /// Returns the append handle for subsequent ingest.
-    pub fn commit(
-        dir: &Path,
-        partition: usize,
-        live_records: &[StreamRecord],
-        replay: &WalReplay,
-    ) -> Result<Self> {
-        Self::commit_synced(dir, partition, live_records, replay, WalSync::Flush)
-    }
-
-    /// [`PartitionWal::commit`] honoring a durability tier: on
-    /// [`WalSync::Fsync`] the staged log is `sync_data`'d before the rename
-    /// and the directory is fsynced after it, **before** the absorbed
-    /// frozen logs are deleted — a power loss can then never persist the
-    /// deletions without the recovered live log they were absorbed into.
-    pub fn commit_synced(
-        dir: &Path,
-        partition: usize,
-        live_records: &[StreamRecord],
-        replay: &WalReplay,
-        sync: WalSync,
-    ) -> Result<Self> {
-        Self::commit_synced_with(
-            dir,
-            partition,
-            live_records,
-            replay,
-            sync,
-            IoPolicy::default(),
-        )
-    }
-
-    /// [`PartitionWal::commit_synced`] with the store's I/O policy: the
-    /// atomic rename retries on transient errors, absorbed-frozen-log
-    /// cleanup failures are counted, and the returned handle keeps the
+    /// log with exactly the replayed records (now sitting in the
+    /// memtable): writes them to a `.tmp` staging file, renames it over
+    /// the live log (retried on transient errors), then deletes the frozen
+    /// files the replay absorbed (failures counted through `policy`).
+    /// Returns the append handle for subsequent ingest, which keeps the
     /// policy for its append/commit lifetime.
-    pub(crate) fn commit_synced_with(
+    ///
+    /// On [`WalSync::Fsync`] the staged log is `sync_data`'d before the
+    /// rename and the directory is fsynced after it, **before** the
+    /// absorbed frozen logs are deleted — a power loss can then never
+    /// persist the deletions without the recovered live log they were
+    /// absorbed into.
+    pub(crate) fn commit(
         dir: &Path,
         partition: usize,
-        live_records: &[StreamRecord],
         replay: &WalReplay,
         sync: WalSync,
         policy: IoPolicy,
@@ -436,7 +399,7 @@ impl PartitionWal {
                 vfs::create("recovery-commit", &tmp)
                     .map_err(|e| io_err("creating the staging log", e))?,
             );
-            for record in live_records {
+            for record in &replay.records {
                 vfs::write_all(
                     "recovery-commit",
                     &tmp,
@@ -479,18 +442,8 @@ impl PartitionWal {
         })
     }
 
-    /// Scans and immediately commits in one step — the non-recovery path
-    /// for tests and tools that want the old "open and replay" behaviour.
-    /// Returns the WAL handle plus the replayed records (now re-logged as
-    /// the live log).
-    pub fn open(dir: &Path, partition: usize) -> Result<(Self, Vec<StreamRecord>)> {
-        let replay = Self::scan(dir, partition)?;
-        let wal = Self::commit(dir, partition, &replay.records, &replay)?;
-        Ok((wal, replay.records))
-    }
-
-    /// Appends one routed record as a CRC-framed line (buffered; see
-    /// [`PartitionWal::sync`] / [`PartitionWal::commit_group`]).
+    /// Appends one routed record as a CRC-framed line (buffered until the
+    /// next [`PartitionWal::commit_group`] or [`PartitionWal::rotate`]).
     ///
     /// Append errors are **not retried**: a partially buffered frame
     /// cannot be rewound, so a retry would stack a second copy behind torn
@@ -516,7 +469,7 @@ impl PartitionWal {
     /// Flushes buffered appends to the operating system (with the policy's
     /// bounded retry: a flush retry re-drains whatever the first attempt
     /// left buffered, so the operation is idempotent).
-    pub fn sync(&mut self) -> Result<()> {
+    fn sync(&mut self) -> Result<()> {
         let PartitionWal {
             live_path,
             writer,
@@ -641,10 +594,28 @@ mod tests {
         StreamRecord::Basic { item, prob }
     }
 
+    /// Scan with nothing covered and the default (no-retry) policy.
+    fn scan(dir: &Path, partition: usize) -> Result<WalReplay> {
+        PartitionWal::scan(dir, partition, &BTreeSet::new(), &IoPolicy::default())
+    }
+
+    /// Flush-tier commit of a replay with the default policy.
+    fn commit(dir: &Path, partition: usize, replay: &WalReplay) -> Result<PartitionWal> {
+        PartitionWal::commit(dir, partition, replay, WalSync::Flush, IoPolicy::default())
+    }
+
+    /// Scans and immediately commits: the handle plus the replayed records
+    /// (now re-logged as the live log).
+    fn open(dir: &Path, partition: usize) -> Result<(PartitionWal, Vec<StreamRecord>)> {
+        let replay = scan(dir, partition)?;
+        let wal = commit(dir, partition, &replay)?;
+        Ok((wal, replay.records))
+    }
+
     #[test]
     fn append_rotate_and_replay_round_trip() {
         let dir = tmp_dir("round-trip");
-        let (mut wal, replayed) = PartitionWal::open(&dir, 3).unwrap();
+        let (mut wal, replayed) = open(&dir, 3).unwrap();
         assert!(replayed.is_empty());
         let records = vec![
             StreamRecord::Basic { item: 7, prob: 0.5 },
@@ -665,12 +636,12 @@ mod tests {
         drop(wal);
 
         // Reopen: frozen log replays first, then the live log.
-        let (_wal2, replayed) = PartitionWal::open(&dir, 3).unwrap();
+        let (_wal2, replayed) = open(&dir, 3).unwrap();
         assert_eq!(replayed, records);
         // The old files were absorbed into the fresh live log: a third open
         // replays exactly the same records (no duplicates, no frozen files).
         drop(_wal2);
-        let (_wal3, replayed) = PartitionWal::open(&dir, 3).unwrap();
+        let (_wal3, replayed) = open(&dir, 3).unwrap();
         assert_eq!(replayed, records);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -678,7 +649,7 @@ mod tests {
     #[test]
     fn scan_is_read_only_until_commit() {
         let dir = tmp_dir("scan-read-only");
-        let (mut wal, _) = PartitionWal::open(&dir, 0).unwrap();
+        let (mut wal, _) = open(&dir, 0).unwrap();
         wal.append(&basic(1, 0.5)).unwrap();
         let frozen = wal.rotate(0).unwrap();
         wal.append(&basic(2, 0.25)).unwrap();
@@ -686,25 +657,25 @@ mod tests {
         drop(wal);
 
         // Scanning twice returns the same records and leaves all files.
-        let first = PartitionWal::scan(&dir, 0).unwrap();
+        let first = scan(&dir, 0).unwrap();
         assert_eq!(first.records.len(), 2);
         assert!(frozen.exists(), "scan must not delete frozen logs");
-        let second = PartitionWal::scan(&dir, 0).unwrap();
+        let second = scan(&dir, 0).unwrap();
         assert_eq!(second.records, first.records);
 
         // Commit absorbs everything into the live log and drops the frozen
         // file.
-        let _wal = PartitionWal::commit(&dir, 0, &second.records, &second).unwrap();
+        let _wal = commit(&dir, 0, &second).unwrap();
         assert!(!frozen.exists(), "commit retires absorbed frozen logs");
-        let after = PartitionWal::scan(&dir, 0).unwrap();
+        let after = scan(&dir, 0).unwrap();
         assert_eq!(after.records, first.records);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn scan_skipping_ignores_covered_frozen_logs_but_retires_them() {
-        let dir = tmp_dir("scan-skipping");
-        let (mut wal, _) = PartitionWal::open(&dir, 1).unwrap();
+    fn scan_ignores_covered_frozen_logs_but_retires_them() {
+        let dir = tmp_dir("scan-covered");
+        let (mut wal, _) = open(&dir, 1).unwrap();
         wal.append(&basic(1, 0.5)).unwrap();
         let frozen0 = wal.rotate(0).unwrap();
         wal.append(&basic(2, 0.25)).unwrap();
@@ -716,11 +687,11 @@ mod tests {
         // Seal 0's records are covered by an installed segment; only seal
         // 1's frozen records and the live tail replay.
         let covered: BTreeSet<u64> = [0u64].into_iter().collect();
-        let replay = PartitionWal::scan_skipping(&dir, 1, &covered).unwrap();
+        let replay = PartitionWal::scan(&dir, 1, &covered, &IoPolicy::default()).unwrap();
         assert_eq!(replay.records, vec![basic(2, 0.25), basic(3, 0.125)]);
         // Commit still deletes the covered frozen file (its records live in
         // the manifest-installed segment now).
-        let _wal = PartitionWal::commit(&dir, 1, &replay.records, &replay).unwrap();
+        let _wal = commit(&dir, 1, &replay).unwrap();
         assert!(!frozen0.exists());
         assert!(!frozen1.exists());
         let _ = fs::remove_dir_all(&dir);
@@ -729,7 +700,7 @@ mod tests {
     #[test]
     fn reabsorb_undoes_a_rotation_keeping_newer_appends() {
         let dir = tmp_dir("reabsorb");
-        let (mut wal, _) = PartitionWal::open(&dir, 2).unwrap();
+        let (mut wal, _) = open(&dir, 2).unwrap();
         wal.append(&basic(5, 0.75)).unwrap();
         let frozen = wal.rotate(0).unwrap();
         // A record logged after the rotation must survive the undo.
@@ -737,7 +708,7 @@ mod tests {
         wal.reabsorb(&frozen).unwrap();
         assert!(!frozen.exists());
         drop(wal);
-        let (_w, replayed) = PartitionWal::open(&dir, 2).unwrap();
+        let (_w, replayed) = open(&dir, 2).unwrap();
         assert_eq!(replayed.len(), 2);
         assert!(replayed.contains(&basic(5, 0.75)));
         assert!(replayed.contains(&basic(6, 0.5)));
@@ -747,7 +718,7 @@ mod tests {
     #[test]
     fn retire_removes_frozen_logs_and_is_idempotent() {
         let dir = tmp_dir("retire");
-        let (mut wal, _) = PartitionWal::open(&dir, 0).unwrap();
+        let (mut wal, _) = open(&dir, 0).unwrap();
         wal.append(&basic(0, 0.9)).unwrap();
         let frozen = wal.rotate(5).unwrap();
         assert!(frozen.exists());
@@ -755,7 +726,7 @@ mod tests {
         assert!(!frozen.exists());
         PartitionWal::retire(&frozen).unwrap(); // second call is a no-op
         drop(wal);
-        let (_wal2, replayed) = PartitionWal::open(&dir, 0).unwrap();
+        let (_wal2, replayed) = open(&dir, 0).unwrap();
         assert!(replayed.is_empty(), "retired records must not replay");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -763,14 +734,14 @@ mod tests {
     #[test]
     fn partitions_do_not_see_each_other_s_logs() {
         let dir = tmp_dir("isolation");
-        let (mut a, _) = PartitionWal::open(&dir, 0).unwrap();
-        let (mut b, _) = PartitionWal::open(&dir, 1).unwrap();
+        let (mut a, _) = open(&dir, 0).unwrap();
+        let (mut b, _) = open(&dir, 1).unwrap();
         a.append(&basic(1, 0.5)).unwrap();
         b.append(&basic(9, 0.25)).unwrap();
         drop(a);
         drop(b);
-        let (_a2, ra) = PartitionWal::open(&dir, 0).unwrap();
-        let (_b2, rb) = PartitionWal::open(&dir, 1).unwrap();
+        let (_a2, ra) = open(&dir, 0).unwrap();
+        let (_b2, rb) = open(&dir, 1).unwrap();
         assert_eq!(ra, vec![basic(1, 0.5)]);
         assert_eq!(rb, vec![basic(9, 0.25)]);
         let _ = fs::remove_dir_all(&dir);
@@ -793,11 +764,11 @@ mod tests {
             format!("{bad}{}", frame_record(&basic(1, 0.5)).unwrap()),
         )
         .unwrap();
-        assert!(PartitionWal::scan(&dir, 2).is_err());
+        assert!(scan(&dir, 2).is_err());
         // The corrupt log is still there for inspection/repair.
         assert!(dir.join("wal-2.log").exists());
         fs::write(dir.join("wal-2.log"), frame_record(&basic(0, 0.5)).unwrap()).unwrap();
-        let replay = PartitionWal::scan(&dir, 2).unwrap();
+        let replay = scan(&dir, 2).unwrap();
         assert_eq!(replay.records.len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -815,17 +786,17 @@ mod tests {
         let torn = frame_record(&StreamRecord::Alternatives(vec![(2, 0.1), (3, 0.5)])).unwrap();
         let torn = &torn[..torn.len() - 6]; // cut mid-payload
         fs::write(dir.join("wal-0.log"), format!("{good}{torn}")).unwrap();
-        let replay = PartitionWal::scan(&dir, 0).unwrap();
+        let replay = scan(&dir, 0).unwrap();
         assert_eq!(replay.records, vec![basic(0, 0.5), basic(1, 0.25)]);
         // A log that is one torn line replays as empty.
         let lone = frame_record(&basic(7, 0.25)).unwrap();
         fs::write(dir.join("wal-1.log"), &lone[..lone.len() - 2]).unwrap();
-        let replay = PartitionWal::scan(&dir, 1).unwrap();
+        let replay = scan(&dir, 1).unwrap();
         assert!(replay.records.is_empty());
         // Frozen logs stay strict: rotation flushed them, so a short frame
         // is corruption there, not a torn tail.
         fs::write(dir.join("wal-3.0.sealing"), &lone[..lone.len() - 2]).unwrap();
-        assert!(PartitionWal::scan(&dir, 3).is_err());
+        assert!(scan(&dir, 3).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -840,7 +811,7 @@ mod tests {
         let full = frame_record(&basic(3, 0.25)).unwrap();
         let torn = &full[..full.len() - 2]; // "...b 3 0.2" without newline
         fs::write(dir.join("wal-0.log"), torn).unwrap();
-        let replay = PartitionWal::scan(&dir, 0).unwrap();
+        let replay = scan(&dir, 0).unwrap();
         assert!(
             replay.records.is_empty(),
             "torn probability must not replay"
@@ -849,7 +820,7 @@ mod tests {
         // The same truncation mid-file (with a later record) is corruption.
         let next = frame_record(&basic(4, 0.5)).unwrap();
         fs::write(dir.join("wal-1.log"), format!("{torn}\n{next}")).unwrap();
-        assert!(PartitionWal::scan(&dir, 1).is_err());
+        assert!(scan(&dir, 1).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -863,14 +834,14 @@ mod tests {
         let flipped = line.replace("0.25", "0.26");
         assert_ne!(flipped, line);
         fs::write(dir.join("wal-0.log"), &flipped).unwrap();
-        assert!(PartitionWal::scan(&dir, 0).is_err());
+        assert!(scan(&dir, 0).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn group_commit_flushes_once_and_fsync_tier_syncs() {
         let dir = tmp_dir("group-commit");
-        let (mut wal, _) = PartitionWal::open(&dir, 0).unwrap();
+        let (mut wal, _) = open(&dir, 0).unwrap();
         for i in 0..16 {
             wal.append(&basic(i, 0.5)).unwrap();
         }
@@ -878,7 +849,7 @@ mod tests {
         // Nothing new: the second commit is a no-op (dirty flag cleared).
         wal.commit_group(WalSync::Flush).unwrap();
         drop(wal);
-        let (_w, replayed) = PartitionWal::open(&dir, 0).unwrap();
+        let (_w, replayed) = open(&dir, 0).unwrap();
         assert_eq!(replayed.len(), 16);
         let _ = fs::remove_dir_all(&dir);
     }

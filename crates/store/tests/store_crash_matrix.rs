@@ -11,7 +11,10 @@
 //! * the child actually died at the point (a label that never fires is a
 //!   test bug and fails loudly);
 //! * the recovered record set is an **exact prefix** of the workload
-//!   (nothing acknowledged lost, nothing replayed twice);
+//!   (nothing acknowledged lost, nothing replayed twice) of exactly the
+//!   row's length at either pool width — the thread that freezes a
+//!   memtable is the thread that seals it, so no other thread keeps
+//!   acknowledging records while the sealing one dies;
 //! * every range estimate is **bitwise equal** to an uninterrupted
 //!   in-memory store fed the same prefix (the workload uses dyadic
 //!   probabilities and full per-segment budgets, so all arithmetic is
@@ -81,28 +84,16 @@ fn crash_child() {
     let Ok(dir) = std::env::var("PDS_CRASH_DIR") else {
         return;
     };
-    let threads: usize = std::env::var("PDS_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
     let store = SynopsisStore::open_with_wal(config(), &dir).unwrap();
-    let store = if threads > 1 {
-        store.with_background_sealing(2)
-    } else {
-        store
-    };
     for record in workload() {
         store.ingest(record).unwrap();
     }
-    store.flush().unwrap();
     // Reaching this line means the armed label never fired.
     eprintln!("crash_child: workload completed without crashing");
 }
 
 /// One matrix row: the crash label, which hit of it to crash on, and the
-/// exact acknowledged-record count under serial (inline) execution.  With
-/// background sealing the main thread keeps ingesting while a worker dies,
-/// so the count is only bounded below by the serial value.
+/// exact number of records recovered after it (at every pool width).
 struct Row {
     label: &'static str,
     at: usize,
@@ -228,28 +219,18 @@ fn run_matrix(threads: usize) {
             "{}: {recovered} records recovered, more than were ever ingested",
             row.label
         );
-        if threads == 1 {
-            assert_eq!(
-                recovered, row.serial_count,
-                "{} (at={}): serial execution must recover exactly the \
-                 acknowledged prefix",
-                row.label, row.at
-            );
-        } else {
-            assert!(
-                recovered >= row.serial_count,
-                "{} (at={}, threads={threads}): recovered {recovered} < serial {}",
-                row.label,
-                row.at,
-                row.serial_count
-            );
-        }
+        assert_eq!(
+            recovered, row.serial_count,
+            "{} (at={}, threads={threads}): recovery must yield exactly the \
+             acknowledged prefix",
+            row.label, row.at
+        );
 
         // The recovered state must answer exactly like an uninterrupted
         // in-memory run over the same acknowledged prefix.
         let reference = SynopsisStore::new(config()).unwrap();
         reference
-            .ingest_all(records[..recovered as usize].iter().cloned())
+            .ingest_batch(records[..recovered as usize].iter().cloned())
             .unwrap();
         let ranges = [
             (0usize, N - 1),

@@ -94,6 +94,13 @@ fn failing_record() -> StreamRecord {
     }
 }
 
+/// A failing x-tuple spanning both partitions (items 7 and 19): under a
+/// persistent `wal-append` fault neither half lands, so it must leave the
+/// accepted-record counters exactly where the mirror's are.
+fn failing_split_tuple() -> StreamRecord {
+    StreamRecord::Alternatives(vec![(7, 0.2), (19, 0.3)])
+}
+
 /// Bitwise query equivalence over the same ranges the durability
 /// proptests pin.
 fn assert_same_estimates(got: &SynopsisStore, want: &SynopsisStore, ctx: &str) {
@@ -155,13 +162,17 @@ fn assert_clean_reopen(dir: &std::path::Path, mirror: &SynopsisStore, ctx: &str)
 }
 
 /// `wal-append` × every class: appends are not retryable, so the first
-/// injected failure degrades the store.  The failed record was never
-/// acknowledged and never reached the memtable — queries keep answering
-/// from the acknowledged prefix, bitwise.
+/// injected failure degrades the store.  The failed record — a basic tuple
+/// or a cross-partition x-tuple — was never acknowledged, never reached a
+/// memtable and never moved a counter: queries keep answering from the
+/// acknowledged prefix, bitwise.
 #[test]
 fn wal_append_faults_degrade_without_losing_acked_records() {
-    for class in ErrorClass::ALL {
-        let ctx = format!("wal-append/{}", class.name());
+    let rows = ErrorClass::ALL.into_iter().flat_map(|class| {
+        [failing_record(), failing_split_tuple()].map(|failing| (class, failing))
+    });
+    for (class, failing) in rows {
+        let ctx = format!("wal-append/{}/{failing:?}", class.name());
         let dir = unique_dir("wal-append", class);
         let mirror = SynopsisStore::new(config()).unwrap();
         let store = SynopsisStore::open_with_wal(config(), &dir).unwrap();
@@ -172,10 +183,16 @@ fn wal_append_faults_degrade_without_losing_acked_records() {
 
         let guard = fault::arm(FaultSpec::persistent("wal-append", class).scoped(&dir));
         let before = fault::injected_total();
-        assert_degraded(store.ingest(failing_record()), &ctx);
+        assert_degraded(store.ingest(failing), &ctx);
         assert!(
             fault::injected_total() > before,
             "the row must actually inject its fault ({ctx})"
+        );
+        let (got, want) = (store.stats(), mirror.stats());
+        assert_eq!(
+            (got.ingested_records, got.split_tuples),
+            (want.ingested_records, want.split_tuples),
+            "an unacknowledged record must not be counted ({ctx})"
         );
         assert_eq!(
             store.degraded().as_deref().map(|c| &c[..10]),

@@ -78,7 +78,7 @@ proptest! {
                 }
             }
         }
-        store.ingest_all(records.iter().cloned()).unwrap();
+        store.ingest_batch(records.iter().cloned()).unwrap();
         store.seal_all().unwrap();
         prop_assert_eq!(store.stats().live_records, 0);
 
@@ -114,7 +114,7 @@ proptest! {
         flip_bit in 0usize..8,
     ) {
         let store = SynopsisStore::new(full_budget_config(2, 8)).unwrap();
-        store.ingest_all(records).unwrap();
+        store.ingest_batch(records).unwrap();
         store.seal_all().unwrap();
         let bytes = store.to_binary().unwrap();
 

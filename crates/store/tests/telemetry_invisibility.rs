@@ -4,9 +4,7 @@
 //! durability), answer every query bitwise-identically and serialise to
 //! byte-identical snapshots and segments.  Scraping `render_metrics`
 //! mid-stream on the instrumented store must not perturb anything either
-//! — recording and rendering never touch the data path.  (Sealing runs
-//! inline here: background workers make automatic-compaction *timing*
-//! nondeterministic between any two runs, which would mask the knob.)
+//! — recording and rendering never touch the data path.
 
 use pds_core::metrics::ErrorMetric;
 use pds_core::stream::{basic_stream, BasicStreamConfig, StreamRecord};
@@ -64,7 +62,6 @@ fn run(store: &SynopsisStore, records: &[StreamRecord], scrape: bool) {
         }
     }
     store.seal_all().unwrap();
-    store.flush().unwrap();
     if scrape {
         let _ = store.render_metrics();
         let _ = store.render_events();
@@ -138,7 +135,6 @@ fn wal_recovery_is_identical_on_and_off() {
             let store = SynopsisStore::open_with_wal(config(telemetry), &dir).unwrap();
             store.ingest_batch(records.iter().cloned()).unwrap();
             store.seal_all().unwrap();
-            store.flush().unwrap();
             // More live records on top, left unsealed: the WAL tail must
             // replay them at reopen.
             store

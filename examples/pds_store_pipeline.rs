@@ -22,9 +22,9 @@ const SEAL_THRESHOLD: usize = 100_000;
 const SEGMENT_BUCKETS: usize = 48;
 const GLOBAL_BUCKETS: usize = 32;
 
-/// Parses `--threads <n>` (or `--threads=<n>`) from the command line; with
-/// the flag present the ingest runs `ingest_batch` on `n` pool workers plus
-/// `n` background seal workers, otherwise the serial per-record path runs.
+/// Parses `--threads <n>` (or `--threads=<n>`) from the command line: the
+/// pool width `ingest_batch`, `seal_all` and `compact_all` run at (the
+/// `PDS_THREADS` / hardware default without the flag).
 fn threads_arg() -> Option<usize> {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -576,10 +576,6 @@ fn main() -> Result<()> {
         }
         None => SynopsisStore::new(config.clone())?,
     };
-    let store = match threads {
-        Some(t) => store.with_background_sealing(t),
-        None => store,
-    };
     let records: Vec<StreamRecord> = basic_stream(BasicStreamConfig {
         n: N,
         skew: 0.7,
@@ -589,11 +585,7 @@ fn main() -> Result<()> {
     .collect();
 
     let t0 = Instant::now();
-    match threads {
-        Some(_) => store.ingest_batch(records.iter().cloned())?,
-        None => store.ingest_all(records.iter().cloned())?,
-    }
-    store.flush()?;
+    store.ingest_batch(records.iter().cloned())?;
     let ingest_secs = t0.elapsed().as_secs_f64();
     let mid_stats = store.stats();
     println!(
@@ -602,8 +594,8 @@ fn main() -> Result<()> {
         RECORDS as f64 / ingest_secs,
         mid_stats.seals,
         match threads {
-            Some(t) => format!("batch ingest on {t} thread(s) + background sealing"),
-            None => "chunked ingest, pool default threads, inline sealing".to_string(),
+            Some(t) => format!("batch ingest on {t} pool thread(s)"),
+            None => "batch ingest, pool default threads".to_string(),
         },
     );
 

@@ -228,7 +228,7 @@ mod tests {
             SynopsisKind::Histogram(ErrorMetric::Sse),
         ))
         .unwrap();
-        store.ingest_all(records_of(&rel)).unwrap();
+        store.ingest_batch(records_of(&rel)).unwrap();
         // Seal half the partitions; the rest stays live in memtables.
         store.seal_partition(0).unwrap();
         store.seal_partition(2).unwrap();

@@ -53,7 +53,7 @@
 //! | `crates/core`     | `pds-core`      | uncertainty models, worlds, moments, generators, stream records, binary-envelope primitives, scoped thread pool (`pds_core::pool`), lock-free telemetry primitives (`pds_core::telemetry`) |
 //! | `crates/histogram`| `pds-histogram` | bucket-cost oracles, DP (serial + level-parallel), `(1+ε)` approximation, partition-merge DP |
 //! | `crates/wavelet`  | `pds-wavelet`   | Haar transform, SSE and non-SSE thresholding |
-//! | `crates/store`    | `pds-store`     | concurrent sharded ingest memtables, background sealing, per-partition WALs, compaction, store persistence, pipeline telemetry (counters/histograms/events behind `StoreConfig::telemetry`) |
+//! | `crates/store`    | `pds-store`     | concurrent sharded ingest memtables, off-lock sealing, per-partition WALs, compaction, store persistence, pipeline telemetry (counters/histograms/events behind `StoreConfig::telemetry`) |
 //! | `crates/server`   | `pds-server`    | snapshot-isolated TCP query/ingest front-end (`EST`/`RANGE`/`STATS [JSON]`/`MERGE`/`INGEST`/`METRICS`/admin verbs), worker pool over `pds_core::pool`, per-verb request telemetry |
 //! | `crates/bench`    | `pds-bench`     | workloads, report tables, figure binaries  |
 //! | `crates/analyze`  | `pds-analyze`   | workspace invariant checker (lock discipline, panic-freedom, binio framing, crash-point coverage, telemetry start/observe pairing) + deterministic decoder/recovery fuzzer |
@@ -62,10 +62,11 @@
 //!
 //! Every parallel path resolves its worker count through `pds_core::pool`
 //! (the `PDS_THREADS` environment variable, `pool::set_num_threads`, or the
-//! hardware default): the exact DP's level-parallel build, the store's
-//! batch ingest and `seal_all`/`compact_all`/`merge_global`, and the
-//! optional background seal workers
-//! (`SynopsisStore::with_background_sealing`).  All of them are
+//! hardware default): the exact DP's level-parallel build and the store's
+//! batch ingest and `seal_all`/`compact_all`/`merge_global`.  The store
+//! owns no threads of its own: a seal runs on the caller that froze the
+//! memtable (off the shard lock), and concurrency beyond the pool comes
+//! from callers sharing one `SynopsisStore`.  All pool paths are
 //! **deterministic** — identical outputs (bit-for-bit) at every thread
 //! count — so parallelism is a pure throughput knob, pinned by the
 //! serial-vs-concurrent equivalence suites.

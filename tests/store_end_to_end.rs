@@ -41,7 +41,7 @@ fn pipeline_ingests_seals_compacts_merges_and_serves() {
         SynopsisKind::Histogram(ErrorMetric::Sse),
     ))
     .unwrap();
-    store.ingest_all(records.iter().cloned()).unwrap();
+    store.ingest_batch(records.iter().cloned()).unwrap();
     let stats = store.stats();
     assert_eq!(stats.ingested_records, 20_000);
     assert!(stats.seals >= PARTS as u64, "auto-seals fired: {stats:?}");
@@ -107,7 +107,7 @@ fn store_binary_snapshot_meets_the_compression_bar() {
         SynopsisKind::Histogram(ErrorMetric::Sse),
     ))
     .unwrap();
-    store.ingest_all(records).unwrap();
+    store.ingest_batch(records).unwrap();
     store.seal_all().unwrap();
 
     // A 200-bucket histogram segment: binary at least 5x smaller than JSON.
@@ -152,7 +152,7 @@ fn wavelet_segments_flow_through_the_same_pipeline() {
         SynopsisKind::Wavelet,
     ))
     .unwrap();
-    store.ingest_all(records.iter().cloned()).unwrap();
+    store.ingest_batch(records.iter().cloned()).unwrap();
     store.seal_all().unwrap();
     store.compact_all().unwrap();
     let merged = store.merge_global(16).unwrap();
@@ -185,8 +185,8 @@ fn wavelet_segments_flow_through_the_same_pipeline() {
 fn concurrent_ingest_answers_aqp_queries_identically_to_serial() {
     // The AQP-level face of the equivalence contract (the byte-level one
     // lives in `crates/store/tests/store_concurrency.rs`): the same stream
-    // ingested per-record on one thread versus batched on the pool with
-    // background seal workers yields identical `answer_with_store` results.
+    // ingested per-record on one thread versus batched on the pool yields
+    // identical `answer_with_store` results.
     let records = stream(12_000);
     let make_config = || {
         StoreConfig::new(
@@ -202,12 +202,9 @@ fn concurrent_ingest_answers_aqp_queries_identically_to_serial() {
     }
     serial.seal_all().unwrap();
 
-    let concurrent = SynopsisStore::new(make_config())
-        .unwrap()
-        .with_background_sealing(4);
+    let concurrent = SynopsisStore::new(make_config()).unwrap();
     concurrent.ingest_batch(records.iter().cloned()).unwrap();
     concurrent.seal_all().unwrap();
-    concurrent.flush().unwrap();
 
     for (start, end) in [(0usize, N - 1), (3, 3), (17, 230), (100, 101), (400, 511)] {
         let query = FrequencyQuery::RangeSum { start, end };
@@ -243,7 +240,7 @@ fn durable_store_reopens_and_answers_aqp_queries_identically() {
 
     let before: Vec<f64> = {
         let store = SynopsisStore::open_with_wal(make_config(), &dir).unwrap();
-        store.ingest_all(records.iter().cloned()).unwrap();
+        store.ingest_batch(records.iter().cloned()).unwrap();
         store.seal_all().unwrap();
         store.compact_all().unwrap();
         // A few live records on top: they must come back from the WAL.
