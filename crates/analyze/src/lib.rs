@@ -121,8 +121,8 @@
 //! **What:** every latency observation — a `.observe(` call in non-test
 //! code — must sit in a function with visible start evidence earlier in
 //! its tokens: the identifier `Stopwatch` (a parameter type or
-//! `Stopwatch::start`) or an identifier ending in `start`
-//! (`maybe_start`).  `crates/core/src/telemetry.rs` additionally runs the
+//! `Stopwatch::start`) or an identifier ending in `start` (a start
+//! helper).  `crates/core/src/telemetry.rs` additionally runs the
 //! mutex-inclusive lock-discipline pass: the registry's render mutex may
 //! never be held across I/O or another acquisition.
 //!

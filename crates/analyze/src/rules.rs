@@ -1115,7 +1115,7 @@ fn matrix_labels(model: &SourceModel) -> HashSet<String> {
 /// Every latency observation (`.observe(`) in non-test code must sit in a
 /// function that visibly starts a stopwatch: an ident `Stopwatch` (the
 /// parameter type, or `Stopwatch::start`) or an ident ending in `start`
-/// (`maybe_start`) earlier in the same function.  This is the static half
+/// (a start helper) earlier in the same function.  This is the static half
 /// of the "every histogram recording site pairs a start with an observe"
 /// contract — it keeps a refactor from feeding a histogram a literal or a
 /// stopwatch started in some unrelated scope.

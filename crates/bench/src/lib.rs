@@ -1,6 +1,6 @@
 //! # pds-bench
 //!
-//! The benchmark harness regenerating every table and figure of the paper's
+//! The reproduction harness regenerating every table and figure of the paper's
 //! experimental evaluation (Section 5), plus the ablation studies listed in
 //! DESIGN.md.  See EXPERIMENTS.md for the per-figure commands and the
 //! paper-vs-measured comparison.
@@ -15,8 +15,8 @@
 //! * `ablation_sse_objective` — equation-(5) vs. fixed-representative SSE;
 //! * `wavelet_nonsse` — restricted non-SSE wavelet DP vs. SSE thresholding.
 //!
-//! Criterion benches: `histogram_time`, `wavelet_time`, `oracle_cost`,
-//! `approx_time`.
+//! Timing lives elsewhere: `pds-perf` (the package behind `BENCHMARK.json`)
+//! is the workspace's one benchmark.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

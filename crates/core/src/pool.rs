@@ -1,9 +1,10 @@
 //! A small scoped thread pool for data-parallel construction work.
 //!
 //! Every parallel path in the workspace (the exact-DP endpoint sweeps, the
-//! store's batch ingest, per-partition seals and compactions) funnels
-//! through the two helpers here, so thread-count policy lives in exactly one
-//! place:
+//! store's per-partition seals, compactions and merge piece extraction)
+//! funnels through the two helpers here, so thread-count policy lives in
+//! exactly one place.  (The store's batch ingest is *not* one of them: it
+//! inserts on the calling thread — a pooled dispatch measured 0.81–1.12x.)
 //!
 //! * [`parallel_map`] — apply a function to every element of an owned `Vec`,
 //!   returning results in input order;
@@ -30,7 +31,7 @@
 //!   capture `&T` of the caller's locals without `'static` bounds or `Arc`s.
 //!   No threads are pooled between calls — spawn cost is a few microseconds
 //!   per worker and the helpers are meant for coarse-grained work (whole DP
-//!   levels, whole partition batches), where that cost is noise.
+//!   levels, whole partition seals), where that cost is noise.
 //! * **Panic propagation.**  If a worker closure panics, the panic payload is
 //!   re-raised on the calling thread when the scope joins (the behaviour of
 //!   `std::thread::scope` itself); no result is returned and no panic is

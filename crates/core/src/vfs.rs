@@ -344,7 +344,7 @@ pub mod fault {
     /// path — taken by every durable-path operation of every production
     /// store — is a single relaxed load and a predicted branch.  A
     /// separate env-init latch plus an enabled flag measurably taxed
-    /// buffered WAL appends (caught by `pds_store_pipeline --vfs-gate`).
+    /// buffered WAL appends (~5 ns each, measured in PR 9).
     static STATE: AtomicU8 = AtomicU8::new(UNINIT);
     /// [`STATE`]: the environment has not been consulted yet.
     const UNINIT: u8 = 0;
@@ -549,7 +549,8 @@ pub mod fault {
     /// makes the passthrough's disabled fast path genuinely cost two
     /// relaxed atomic loads: the vfs wrappers are instantiated in caller
     /// crates, and without it every buffered WAL append would pay a
-    /// cross-crate call chain (pinned by `pds_store_pipeline --vfs-gate`).
+    /// cross-crate call chain (it shows in `pds-perf`'s
+    /// `store.ingest_wal_ns_per_record`).
     #[inline]
     pub(super) fn check(site: &str, path: &Path) -> Option<io::Error> {
         if !enabled() {
@@ -615,6 +616,98 @@ mod tests {
             .any(|e| e.file_name() == "b.bin"));
         remove_file("test-site", &renamed).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A passthrough must pass through: one WAL-shaped round — buffered
+    /// appends, flush + fdatasync group commits, a rotation by rename, a
+    /// stage/sync/rename/dir-sync blob publish — leaves the same file set
+    /// with the same bytes through `vfs` as through the `std::fs` calls it
+    /// wraps.
+    #[test]
+    fn passthrough_leaves_the_same_files_as_std_fs() {
+        use std::collections::BTreeMap;
+        use std::io::BufWriter;
+
+        const SITE: &str = "t-identity";
+        const FRAMES: usize = 5_000;
+        let root = tmp_dir("identity");
+        let round = |via_vfs: bool| -> io::Result<BTreeMap<String, Vec<u8>>> {
+            let dir = root.join(if via_vfs { "vfs" } else { "std" });
+            fs::create_dir_all(&dir)?;
+            let open = |path: &Path| {
+                if via_vfs {
+                    open_append(SITE, path, true)
+                } else {
+                    fs::OpenOptions::new().append(true).create(true).open(path)
+                }
+            };
+            let commit = |path: &Path, writer: &mut BufWriter<fs::File>| {
+                if via_vfs {
+                    flush(SITE, path, writer)?;
+                    sync_data(SITE, path, writer.get_ref())
+                } else {
+                    writer.flush()?;
+                    writer.get_ref().sync_data()
+                }
+            };
+            let mut path = dir.join("wal-0000.log");
+            let mut writer = BufWriter::new(open(&path)?);
+            let mut frame = [0u8; 64];
+            for i in 0..FRAMES {
+                frame[..8].copy_from_slice(&(i as u64).to_le_bytes());
+                if via_vfs {
+                    write_all(SITE, &path, &mut writer, &frame)?;
+                } else {
+                    writer.write_all(&frame)?;
+                }
+                if (i + 1) % (FRAMES / 5) == 0 {
+                    commit(&path, &mut writer)?;
+                }
+                if i + 1 == FRAMES / 2 {
+                    // Rotation: retire the synced log, open a fresh one.
+                    drop(writer);
+                    let retired = dir.join("wal-0000.retired");
+                    if via_vfs {
+                        rename(SITE, &path, &retired)?;
+                    } else {
+                        fs::rename(&path, &retired)?;
+                    }
+                    path = dir.join("wal-0001.log");
+                    writer = BufWriter::new(open(&path)?);
+                }
+            }
+            commit(&path, &mut writer)?;
+            drop(writer);
+
+            let blob: Vec<u8> = (0..64 * 1024usize).map(|i| (i * 131) as u8).collect();
+            let (stage, published) = (dir.join("seg-0-1.bin.tmp"), dir.join("seg-0-1.bin"));
+            if via_vfs {
+                write(SITE, &stage, &blob)?;
+                sync_path(SITE, &stage)?;
+                rename(SITE, &stage, &published)?;
+                sync_dir(SITE, &dir)?;
+            } else {
+                fs::write(&stage, &blob)?;
+                fs::File::open(&stage)?.sync_data()?;
+                fs::rename(&stage, &published)?;
+                fs::File::open(&dir)?.sync_all()?;
+            }
+
+            let mut files = BTreeMap::new();
+            for entry in fs::read_dir(&dir)? {
+                let entry = entry?;
+                let name = entry.file_name().to_string_lossy().into_owned();
+                files.insert(name, fs::read(entry.path())?);
+            }
+            Ok(files)
+        };
+        let (std_files, vfs_files) = (round(false).unwrap(), round(true).unwrap());
+        assert_eq!(std_files.len(), 3, "retired log, live log, published blob");
+        assert!(
+            vfs_files == std_files,
+            "the two backends left different files"
+        );
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -126,9 +126,8 @@
 //! [`SynopsisStore::render_metrics`] — one scrape covers both layers —
 //! and `METRICS EVENTS` dumps the bounded event rings (each line
 //! prefixed `server ` or `store `, then `t=<secs-since-start>` and the
-//! decoded event).  Store-side recording obeys the
-//! `StoreConfig::telemetry` knob and is bit-invisible to query results;
-//! see the pds-store crate docs.
+//! decoded event).  Store-side recording is unconditional and
+//! bit-invisible to query results; see the pds-store crate docs.
 //!
 //! [`SynopsisStore`]: pds_store::SynopsisStore
 //! [`SynopsisStore::render_metrics`]: pds_store::SynopsisStore::render_metrics

@@ -517,7 +517,6 @@ fn metrics_scrape_and_stats_json_cover_both_layers() {
         "pds_server_connections_total 1",
         "pds_server_connections_active 1",
         "# TYPE pds_server_request_seconds histogram",
-        "pds_store_telemetry_enabled 1",
         "pds_store_ingested_records_total 100",
         // One client batch fans out to one per-shard commit group per
         // partition it touches — all 4, with 100 records over 64 items.

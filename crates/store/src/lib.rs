@@ -34,9 +34,9 @@
 //!
 //! The whole read side lives in one module (`query.rs`) and has **no
 //! knobs**.  Three layers make reads skip work without changing a single
-//! bit of any answer (pinned bitwise against a full-walk reference by
-//! `tests/store_read_path.rs`, and gated by `pds_store_pipeline
-//! --read-gate`):
+//! bit of any answer (pinned bitwise against a full-walk reference, with
+//! count assertions on the work skipped, by `tests/store_read_path.rs`;
+//! timed by `pds-perf`):
 //!
 //! * **Segment pruning.**  Every sealed segment carries prune metadata in
 //!   its blob: the item-range fence and a small presence filter over the
@@ -95,7 +95,8 @@
 //! layer, what a *failing disk* at the same stage does to a store that
 //! stays up (fault sites from [`FAULT_SITES`]; "degrades" means the sticky
 //! read-only mode of [`SynopsisStore::degraded`], entered only after the
-//! [`StoreConfig::io_retries`] budget is exhausted):
+//! bounded retry budget — two retries, a constant of the store — is
+//! exhausted):
 //!
 //! | crash while the record/segment is… | crash outcome | I/O failure at the same stage (site) |
 //! |---|---|---|
@@ -116,9 +117,9 @@
 //! bit-flipped blob or frame is a [`PdsError`], an injected EIO/ENOSPC/
 //! short-write/fsync/rename failure is retried, degraded or counted per
 //! the table — never a panic, never a silently wrong answer.  Transient
-//! faults on idempotent steps are absorbed by the bounded retry
-//! ([`StoreConfig::io_retries`] attempts, [`StoreConfig::io_backoff_ms`]
-//! exponential backoff); appends are the designed exception (a partially
+//! faults on idempotent steps are absorbed by the bounded retry (two
+//! retries, exponential backoff from 1 ms — constants, not options: no
+//! caller ever set them); appends are the designed exception (a partially
 //! buffered frame cannot be rewound), so they degrade on first failure.
 //! Dropping a degraded handle and reopening the directory recovers a
 //! healthy, writable store.
@@ -126,9 +127,11 @@
 //! Persistence of whole stores additionally uses the versioned **compact
 //! binary format** (see `pds_core::binio`): segments and stores encode to
 //! self-describing byte blobs whose corrupted/truncated/version-skewed
-//! variants decode to [`PdsError`]s.  JSON (`Segment::to_json`) stays
-//! available as the debug encoding.  [`SynopsisStore::snapshot`] seals
-//! everything live and serialises in one step.
+//! variants decode to [`PdsError`]s.  Store types have this one encoding
+//! (JSON stays on the embedded `Histogram` / `WaveletSynopsis` and on
+//! [`StoreStats`], the `STATS JSON` wire form).
+//! [`SynopsisStore::snapshot`] seals everything live and serialises in one
+//! step.
 //!
 //! ## Concurrency
 //!
@@ -137,9 +140,11 @@
 //! write side exists once:
 //!
 //! * **One ingest path.**  [`SynopsisStore::ingest_batch`] routes a batch
-//!   to shards lock-free, inserts each shard's sub-batch under its lock and
-//!   group-commits its WAL once; [`SynopsisStore::ingest`] is a batch of
-//!   one.
+//!   to shards lock-free, then — in partition order, on the calling thread
+//!   — inserts each shard's sub-batch under its lock and group-commits its
+//!   WAL once; [`SynopsisStore::ingest`] is a batch of one.  Dispatch is
+//!   single-threaded per call by design (a pooled dispatch measured
+//!   0.81–1.12x): write parallelism comes from concurrent callers.
 //! * **One seal sequence, never under a shard guard.**  A full memtable is
 //!   *frozen* under the write lock (an `O(1)` swap plus the WAL rotation),
 //!   the guard drops, and the thread that froze it builds the segment,
@@ -171,8 +176,21 @@
 //!   [`SynopsisStore::to_binary`] refuses while any memtable is live or
 //!   frozen.
 //!
-//! Thread counts come from `pds_core::pool` (the `PDS_THREADS` environment
-//! variable or `pool::set_num_threads`).
+//! Thread counts (for `seal_all`, `compact_all` and `merge_global`) come
+//! from `pds_core::pool` (the `PDS_THREADS` environment variable or
+//! `pool::set_num_threads`).
+//!
+//! ## Configuration
+//!
+//! [`StoreConfig`] holds what defines a store (`partitions`,
+//! `seal_threshold`, `segment_budget`, `synopsis` — persisted by
+//! [`SynopsisStore::to_binary`]) and exactly two runtime knobs, the two
+//! that callers really set differently:
+//!
+//! | knob | default | who sets it otherwise |
+//! |---|---|---|
+//! | `compaction` | `None` (manual) | the server demo, `pds-perf`, the durability suites (size-tiered auto-compaction) |
+//! | `wal_sync` | [`WalSync::Flush`] | the fault/crash matrices and power-loss deployments ([`WalSync::Fsync`]) |
 //!
 //! ## Observability
 //!
@@ -193,19 +211,15 @@
 //! (`pds_store_io_retries_total`), I/O errors split by injected/real
 //! (`pds_store_io_errors_total`), tolerated cleanup failures
 //! (`pds_store_io_cleanup_errors_total`) and the
-//! `pds_store_degraded` health gauge — which is maintained even with the
-//! telemetry knob off, because degradation is operational state, not
-//! observability.
+//! `pds_store_degraded` health gauge.
 //! [`SynopsisStore::render_metrics`] renders the Prometheus-style text
 //! exposition (including the [`SynopsisStore::stats`] counters as
 //! series); [`SynopsisStore::render_events`] dumps the decoded event
-//! lines.  The [`StoreConfig::telemetry`] runtime knob (default on)
-//! gates all recording; telemetry never takes a lock, never allocates on
-//! the record path, and is **bit-invisible**: estimates, snapshots and
-//! segment bytes are identical with the knob on or off (pinned by the
-//! `telemetry_invisibility` suite), and ingest throughput with telemetry
-//! enabled stays within 5% of disabled (asserted by the
-//! `pds_store_pipeline --telemetry-gate` bench gate).
+//! lines.  Recording is **unconditional** — there is no switch; it never
+//! takes a lock, never allocates on the record path, and is
+//! **bit-invisible**: estimates, snapshots and segment bytes are identical
+//! whether or not the surfaces are scraped mid-stream (pinned by the
+//! `telemetry_invisibility` suite).
 //!
 //! ## Sharding semantics
 //!

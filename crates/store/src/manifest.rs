@@ -256,7 +256,7 @@ impl Manifest {
     }
 
     /// [`Manifest::open`] with an explicit I/O policy — the store threads
-    /// its configured retry budget and telemetry through here.
+    /// its telemetry-reporting policy through here.
     pub(crate) fn open_with(
         dir: &Path,
         sync: WalSync,

@@ -23,6 +23,7 @@ use std::sync::{Arc, OnceLock, RwLockReadGuard};
 
 use pds_core::error::{PdsError, Result};
 use pds_core::pool;
+use pds_core::telemetry::Stopwatch;
 use pds_core::vfs;
 use pds_histogram::merge::{optimal_piecewise_histogram, sum_pieces, Piece};
 use pds_histogram::Histogram;
@@ -365,17 +366,14 @@ impl SynopsisStore {
     /// series (ingest/freeze/WAL/seal/compaction counters, latency
     /// histograms, the recovery gauge) plus the [`SynopsisStore::stats`]
     /// counters rendered as series.  Total on the panic-free serving
-    /// contract — a scrape endpoint can expose this path directly; with
-    /// [`StoreConfig::telemetry`](crate::StoreConfig::telemetry) off the
-    /// series exist but stay at zero (and `pds_store_telemetry_enabled`
-    /// reads 0).
+    /// contract — a scrape endpoint can expose this path directly.
     pub fn render_metrics(&self) -> String {
         self.inner.telemetry.render(&self.stats())
     }
 
     /// The store's retained telemetry events (seal installs, compaction
     /// commits, WAL rotations, recovery), oldest first, one decoded line
-    /// per event.  Panic-free; empty with telemetry off.
+    /// per event.  Panic-free.
     pub fn render_events(&self) -> Vec<String> {
         self.inner.telemetry.render_events()
     }
@@ -408,7 +406,7 @@ impl SynopsisStore {
     /// pool task per partition.  Live memtable records are **not** included
     /// — seal first for a full snapshot.
     pub fn merge_global(&self, b: usize) -> Result<Histogram> {
-        let sw = self.inner.telemetry.maybe_start();
+        let sw = Stopwatch::start();
         let merged = self.merge_global_core(b);
         self.inner.telemetry.record_query(QueryOp::MergeGlobal, sw);
         merged
@@ -496,7 +494,7 @@ impl SynopsisStore {
     /// answers 0.0, and shard-lock poisoning is recovered from (see
     /// `read_shard`) — a network front-end can expose this path directly.
     pub fn range_estimate(&self, lo: usize, hi: usize) -> f64 {
-        let sw = self.inner.telemetry.maybe_start();
+        let sw = Stopwatch::start();
         let total = self.range_estimate_core(lo, hi);
         self.inner.telemetry.record_query(QueryOp::Range, sw);
         total
@@ -504,7 +502,7 @@ impl SynopsisStore {
 
     /// The estimated expected frequency of one item.
     pub fn estimate(&self, item: usize) -> f64 {
-        let sw = self.inner.telemetry.maybe_start();
+        let sw = Stopwatch::start();
         let value = self.range_estimate_core(item, item);
         self.inner.telemetry.record_query(QueryOp::Point, sw);
         value
@@ -546,7 +544,7 @@ impl SynopsisStore {
     /// a network front-end can serve from it without ever holding a shard
     /// lock across I/O.
     pub fn snapshot_view(&self) -> SnapshotView {
-        let sw = self.inner.telemetry.maybe_start();
+        let sw = Stopwatch::start();
         let view = self.snapshot_view_core();
         self.inner.telemetry.record_query(QueryOp::Snapshot, sw);
         view
@@ -879,7 +877,6 @@ mod tests {
         let _ = store.snapshot_view();
         store.seal_all().unwrap();
         let text = store.render_metrics();
-        assert!(text.contains("pds_store_telemetry_enabled 1"));
         assert!(text.contains("pds_store_ingest_records_total{partition=\"0\"} 24"));
         assert!(text.contains("pds_store_freezes_total"));
         assert!(text.contains("pds_store_query_seconds_count{op=\"estimate\"} 1"));
@@ -896,26 +893,5 @@ mod tests {
             events.iter().any(|e| e.contains("compaction-committed")),
             "{events:?}"
         );
-
-        // With the knob off the same workload records nothing.
-        let mut cfg = config(12, 3, 4);
-        cfg.telemetry = false;
-        let quiet = SynopsisStore::new(cfg).unwrap();
-        for i in 0..8 {
-            quiet
-                .ingest(StreamRecord::Basic {
-                    item: i % 12,
-                    prob: 0.5,
-                })
-                .unwrap();
-        }
-        let _ = quiet.estimate(0);
-        let text = quiet.render_metrics();
-        assert!(text.contains("pds_store_telemetry_enabled 0"));
-        assert!(text.contains("pds_store_ingest_records_total{partition=\"0\"} 0"));
-        assert!(text.contains("pds_store_query_seconds_count{op=\"estimate\"} 0"));
-        // The stats-derived series still report the real counters.
-        assert!(text.contains("pds_store_ingested_records_total 8"));
-        assert!(quiet.render_events().is_empty());
     }
 }

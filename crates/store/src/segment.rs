@@ -1,7 +1,5 @@
 //! Immutable sealed segments and their synopses.
 
-use serde::{Deserialize, Serialize};
-
 use pds_core::binio::{ByteReader, ByteWriter};
 use pds_core::error::{PdsError, Result};
 use pds_core::metrics::ErrorMetric;
@@ -11,7 +9,7 @@ use pds_histogram::{build_histogram, Histogram};
 use pds_wavelet::{build_sse_wavelet, WaveletSynopsis};
 
 /// Which synopsis a sealed segment is summarised with.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SynopsisKind {
     /// An optimal `B`-bucket histogram under the given error metric, built
     /// with the batched-sweep dynamic program.
@@ -21,7 +19,7 @@ pub enum SynopsisKind {
 }
 
 /// The synopsis stored inside a segment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SegmentSynopsis {
     /// Histogram synopsis over the segment's local domain.
     Histogram(Histogram),
@@ -41,7 +39,7 @@ impl SegmentSynopsis {
 
 /// One immutable sealed unit of a partition: the synopsis of a batch of
 /// ingested records over the global item range `[start, start + width)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Segment {
     start: usize,
     width: usize,
@@ -49,17 +47,7 @@ pub struct Segment {
     synopsis: SegmentSynopsis,
 }
 
-/// Versioned wire envelope for [`Segment::to_json`] / [`Segment::from_json`].
-#[derive(Serialize, Deserialize)]
-struct SegmentEnvelope {
-    version: u32,
-    segment: Segment,
-}
-
 impl Segment {
-    /// The segment JSON envelope version written by [`Segment::to_json`].
-    pub const FORMAT_VERSION: u32 = 1;
-
     /// Magic bytes of the compact binary encoding.
     pub const BINARY_MAGIC: [u8; 4] = *b"PDSG";
 
@@ -283,38 +271,6 @@ impl Segment {
         }
         Ok(crate::blob::decode_blob(bytes)?.0)
     }
-
-    /// Serialises the segment into the versioned JSON envelope — the debug
-    /// encoding; the binary format is the persistent one.
-    pub fn to_json(&self) -> Result<String> {
-        self.validate()?;
-        let envelope = SegmentEnvelope {
-            version: Self::FORMAT_VERSION,
-            segment: self.clone(),
-        };
-        serde_json::to_string(&envelope).map_err(|e| PdsError::InvalidParameter {
-            message: format!("segment serialisation failed: {e}"),
-        })
-    }
-
-    /// Parses a segment from the versioned JSON envelope.
-    pub fn from_json(text: &str) -> Result<Self> {
-        let envelope: SegmentEnvelope =
-            serde_json::from_str(text).map_err(|e| PdsError::InvalidParameter {
-                message: format!("segment deserialisation failed: {e}"),
-            })?;
-        if envelope.version != Self::FORMAT_VERSION {
-            return Err(PdsError::InvalidParameter {
-                message: format!(
-                    "segment envelope version {} is not supported (expected {})",
-                    envelope.version,
-                    Self::FORMAT_VERSION
-                ),
-            });
-        }
-        envelope.segment.validate()?;
-        Ok(envelope.segment)
-    }
 }
 
 #[cfg(test)]
@@ -371,8 +327,6 @@ mod tests {
         assert_eq!(seg.pieces().iter().map(|p| p.width).sum::<usize>(), 16);
         let bytes = seg.to_binary().unwrap();
         assert_eq!(Segment::from_binary(&bytes).unwrap(), seg);
-        let json = seg.to_json().unwrap();
-        assert_eq!(Segment::from_json(&json).unwrap(), seg);
     }
 
     #[test]
@@ -424,10 +378,5 @@ mod tests {
         let mut long = bytes.clone();
         long.push(1);
         assert!(Segment::from_binary(&long).is_err());
-
-        let json = seg.to_json().unwrap();
-        assert!(Segment::from_json(&json[..json.len() - 2]).is_err());
-        let skewed = json.replace("\"version\":1", "\"version\":3");
-        assert!(Segment::from_json(&skewed).is_err());
     }
 }

@@ -13,8 +13,13 @@
 //! **One ingest path.**  [`SynopsisStore::ingest_batch`] routes records to
 //! shards **lock-free** — one pass over the batch groups records
 //! per-partition in arrival order — then inserts each partition's sub-batch
-//! on the scoped thread pool (`pds_core::pool`), group-committing the
-//! shard's WAL once per call.  [`SynopsisStore::ingest`] is a batch of one.
+//! in partition order on the calling thread, group-committing the shard's
+//! WAL once per call.  Ingest dispatch is **single-threaded per call by
+//! design** (a pooled dispatch measured 0.81–1.12x): cross-partition write
+//! parallelism comes from concurrent callers — server connections — and
+//! the scoped pool (`pds_core::pool`) stays under `seal_all`,
+//! `compact_all` and `merge_global`.  [`SynopsisStore::ingest`] is a batch
+//! of one.
 //!
 //! **One seal sequence, never under a shard guard.**  A memtable becomes a
 //! segment in exactly one way: it is *frozen* under the shard write lock (an
@@ -158,34 +163,14 @@ pub struct StoreConfig {
     /// (survives power loss, paid once per group commit).  A runtime knob:
     /// not persisted by [`SynopsisStore::to_binary`].
     pub wal_sync: WalSync,
-    /// Whether the store records telemetry (counters, latency histograms
-    /// and the event ring behind [`SynopsisStore::render_metrics`]).
-    /// Recording is lock-free and allocation-free, and **never** affects
-    /// results — estimates, snapshots and segment bytes are bit-identical
-    /// on or off — so the default is on; turn it off to shave the last
-    /// clock reads from the hot path.  A runtime knob: not persisted by
-    /// [`SynopsisStore::to_binary`].
-    pub telemetry: bool,
-    /// Bounded retries for **idempotent** durable-path operations (WAL
-    /// group commits and rotations, manifest installs and publishes, blob
-    /// staging and renames) after a transient I/O failure; `0` disables
-    /// retry.  An operation that still fails after the budget flips the
-    /// store into its sticky degraded read-only mode (see
-    /// [`SynopsisStore::degraded`]).  A runtime knob: not persisted by
-    /// [`SynopsisStore::to_binary`].
-    pub io_retries: u32,
-    /// Base backoff before durable-path retry `k` sleeps
-    /// `io_backoff_ms << k` milliseconds; `0` retries immediately.  A
-    /// runtime knob: not persisted by [`SynopsisStore::to_binary`].
-    pub io_backoff_ms: u64,
 }
 
 impl StoreConfig {
-    /// A configuration with the default runtime knobs: manual compaction,
-    /// flush-tier WAL durability, telemetry recording on and two
-    /// durable-path retries with a 1 ms base backoff.  The read path has no
-    /// knobs: segment pruning is unconditional and a reopened store always
-    /// loads synopsis blocks lazily (both are bit-invisible).
+    /// A configuration with the default runtime knobs: manual compaction
+    /// and flush-tier WAL durability.  Nothing else is switchable: segment
+    /// pruning, lazy synopsis blocks and telemetry recording are
+    /// unconditional (all bit-invisible), and the durable-path retry budget
+    /// is a constant of the store (two retries, 1 ms base backoff).
     pub fn new(
         partitions: PartitionSpec,
         seal_threshold: usize,
@@ -199,9 +184,6 @@ impl StoreConfig {
             synopsis,
             compaction: None,
             wal_sync: WalSync::Flush,
-            telemetry: true,
-            io_retries: 2,
-            io_backoff_ms: 1,
         }
     }
 }
@@ -373,14 +355,10 @@ pub(crate) struct StoreInner {
 }
 
 impl StoreInner {
-    /// The store's durable-path failure policy (configured retry budget,
-    /// reporting into the store's telemetry).
+    /// The store's durable-path failure policy (bounded retry, reporting
+    /// into the store's telemetry).
     pub(crate) fn io_policy(&self) -> IoPolicy {
-        IoPolicy::new(
-            self.config.io_retries,
-            self.config.io_backoff_ms,
-            Some(Arc::clone(&self.telemetry)),
-        )
+        IoPolicy::new(Arc::clone(&self.telemetry))
     }
 
     /// Refuses mutating work while the store is degraded.
@@ -514,10 +492,7 @@ impl Clone for SynopsisStore {
                 ingested: AtomicU64::new(self.inner.ingested.load(Ordering::Relaxed)),
                 seals: AtomicU64::new(seals),
                 split_tuples: AtomicU64::new(self.inner.split_tuples.load(Ordering::Relaxed)),
-                telemetry: Arc::new(StoreTelemetry::new(
-                    self.inner.config.partitions.len(),
-                    self.inner.config.telemetry,
-                )),
+                telemetry: Arc::new(StoreTelemetry::new(self.inner.config.partitions.len())),
                 // A clone has no durable substrate, so nothing can fail
                 // durably: it starts healthy even off a degraded original.
                 degraded: Arc::new(OnceLock::new()),
@@ -538,10 +513,7 @@ impl SynopsisStore {
 
     /// Creates an empty store (no write-ahead log, no durable directory).
     pub fn new(config: StoreConfig) -> Result<Self> {
-        let telemetry = Arc::new(StoreTelemetry::new(
-            config.partitions.len(),
-            config.telemetry,
-        ));
+        let telemetry = Arc::new(StoreTelemetry::new(config.partitions.len()));
         Self::with_parts(config, None, telemetry)
     }
 
@@ -623,15 +595,8 @@ impl SynopsisStore {
         Self::check_wal_meta(&config, dir)?;
         // Telemetry first, so recovery's own I/O (and any cleanup errors
         // swept along the way) is already counted.
-        let telemetry = Arc::new(StoreTelemetry::new(
-            config.partitions.len(),
-            config.telemetry,
-        ));
-        let policy = IoPolicy::new(
-            config.io_retries,
-            config.io_backoff_ms,
-            Some(Arc::clone(&telemetry)),
-        );
+        let telemetry = Arc::new(StoreTelemetry::new(config.partitions.len()));
+        let policy = IoPolicy::new(Arc::clone(&telemetry));
         let (manifest, live) = Manifest::open_with(dir, config.wal_sync, policy.clone())?;
         let store = Self::with_parts(
             config,
@@ -822,7 +787,7 @@ impl SynopsisStore {
     ///
     /// A store degrades when a durable-path write (WAL append/commit/rotate,
     /// blob publish, manifest install/replace) still fails after the
-    /// configured retries ([`StoreConfig::io_retries`]).  Degradation is
+    /// bounded retries.  Degradation is
     /// **sticky**: mutating calls return [`PdsError::Degraded`] from then
     /// on, queries keep serving everything acknowledged before the fault,
     /// and only reopening the directory (which replays the durable state)
@@ -852,7 +817,7 @@ impl SynopsisStore {
     /// never one per record.
     fn commit_wal_locked(&self, shard: &mut Shard) -> Result<()> {
         if let Some(wal) = shard.wal.as_mut() {
-            let sw = self.inner.telemetry.maybe_start();
+            let sw = Stopwatch::start();
             wal.commit_group(self.inner.config.wal_sync)
                 .map_err(|e| self.inner.degrade("wal-commit", e))?;
             self.inner.telemetry.record_wal_commit(sw);
@@ -875,14 +840,14 @@ impl SynopsisStore {
     /// Appends a batch of records — the one way a record enters a memtable.
     /// The batch is routed to per-partition sub-batches lock-free (one
     /// pass, arrival order preserved within each partition), then every
-    /// partition's sub-batch is inserted on its own pool task and its WAL
-    /// group-committed once.  A partition whose memtable reaches the seal
-    /// threshold mid-batch is sealed (and its compaction chain run) off the
-    /// shard lock before the rest of its sub-batch is inserted.  Because
-    /// each partition sees exactly the sub-sequence of records it owns — in
-    /// arrival order, with the same seal points — the resulting state is
-    /// **identical to per-record ingest at every thread count and every
-    /// batch cut**.
+    /// partition's sub-batch is inserted in partition order on the calling
+    /// thread and its WAL group-committed once.  A partition whose memtable
+    /// reaches the seal threshold mid-batch is sealed (and its compaction
+    /// chain run) off the shard lock before the rest of its sub-batch is
+    /// inserted.  Because each partition sees exactly the sub-sequence of
+    /// records it owns — in arrival order, with the same seal points — the
+    /// resulting state is **identical to per-record ingest at every batch
+    /// cut**.
     ///
     /// A **validation** error rejects the whole batch before anything is
     /// inserted — routing happens first, so the batch is the all-or-nothing
@@ -933,18 +898,18 @@ impl SynopsisStore {
         }
     }
 
-    /// Inserts the routed sub-batches into their shards, one pool task per
-    /// non-empty partition; the first error (in partition order) surfaces
-    /// after every task has finished.
+    /// Inserts the routed sub-batches into their shards in partition order
+    /// on the calling thread.  Every non-empty partition is attempted even
+    /// after a failure (the fold does not short-circuit: a failed shard must
+    /// not decide whether a later shard's records land); the first error in
+    /// partition order surfaces.
     fn insert_routed(&self, routed: Vec<Vec<StreamRecord>>) -> Result<()> {
-        let batches: Vec<(usize, Vec<StreamRecord>)> = routed
+        routed
             .into_iter()
             .enumerate()
             .filter(|(_, batch)| !batch.is_empty())
-            .collect();
-        pool::parallel_map(batches, |(p, batch)| self.ingest_partition_batch(p, batch))
-            .into_iter()
-            .collect()
+            .map(|(p, batch)| self.ingest_partition_batch(p, batch))
+            .fold(Ok(()), Result::and)
     }
 
     /// Inserts one partition's sub-batch, group-committing the shard's WAL
@@ -958,7 +923,7 @@ impl SynopsisStore {
     /// tier the records before a freeze are made durable by that seal's own
     /// blob and manifest fsyncs, the remainder by the final commit.
     fn ingest_partition_batch(&self, p: usize, records: Vec<StreamRecord>) -> Result<()> {
-        let sw = self.inner.telemetry.maybe_start();
+        let sw = Stopwatch::start();
         let mut records = records.into_iter();
         loop {
             let frozen = {
@@ -1057,7 +1022,7 @@ impl SynopsisStore {
     /// Builds the configured synopsis segment from a frozen memtable.
     fn build_task(inner: &StoreInner, task: &SealTask) -> Result<Segment> {
         crashpoint::reached("frozen-pre-build");
-        let sw = inner.telemetry.maybe_start();
+        let sw = Stopwatch::start();
         let relation = task.memtable.to_relation()?;
         let budget = inner.config.segment_budget.min(task.memtable.width());
         let segment = Segment::build(
@@ -1139,7 +1104,7 @@ impl SynopsisStore {
             return Ok(());
         };
         let blob = segment.to_blob()?;
-        let sw = inner.telemetry.maybe_start();
+        let sw = Stopwatch::start();
         Self::write_segment_blob(inner, durable, partition, seq, &blob)?;
         durable
             .manifest
@@ -1307,12 +1272,25 @@ impl SynopsisStore {
     /// sealed state is identical to serial sealing at every thread count.
     pub fn seal_all(&self) -> Result<()> {
         self.inner.check_writable()?;
-        let mut tasks = Vec::new();
+        let mut tasks: Vec<SealTask> = Vec::new();
         for p in 0..self.num_partitions() {
-            let mut shard = self.write_shard(p);
-            // analyze:allow(lock-discipline) freeze only swaps the memtable and rotates this shard's own WAL; every build and blob/manifest commit runs in seal_frozen on the pool, after the guards have dropped
-            if let Some(task) = self.freeze(p, &mut shard)? {
-                tasks.push(task);
+            let frozen = {
+                let mut shard = self.write_shard(p);
+                // analyze:allow(lock-discipline) freeze only swaps the memtable and rotates this shard's own WAL; every build and blob/manifest commit runs in seal_frozen on the pool, after the guards have dropped
+                self.freeze(p, &mut shard)
+            };
+            match frozen {
+                Ok(Some(task)) => tasks.push(task),
+                Ok(None) => {}
+                Err(e) => {
+                    // Nothing will seal the partitions frozen so far: give
+                    // their records back before surfacing the error.
+                    for task in tasks {
+                        let mut shard = self.write_shard(task.partition);
+                        Self::unfreeze(&self.inner, &mut shard, task);
+                    }
+                    return Err(e);
+                }
             }
         }
         pool::parallel_map(tasks, |task| self.seal_frozen(task))
@@ -1421,7 +1399,7 @@ impl SynopsisStore {
     /// the follow-up round, if the swap filled another tier.  Every exit
     /// clears the partition's `compacting` flag.
     fn run_compact_task(inner: &StoreInner, task: CompactTask) -> Result<Option<CompactTask>> {
-        let sw = inner.telemetry.maybe_start();
+        let sw = Stopwatch::start();
         let input_seqs: Vec<u64> = task.inputs.iter().map(|&(seq, _)| seq).collect();
         let committed = Self::commit_compaction(inner, &task, &input_seqs);
         let mut shard = inner.shards[task.partition]

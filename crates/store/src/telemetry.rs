@@ -3,16 +3,15 @@
 //! counters/gauges/histograms and the event ring for every store
 //! subsystem (ingest, seal, WAL, compaction, recovery, queries).
 //!
-//! Recording is gated on [`StoreConfig::telemetry`](crate::StoreConfig):
-//! when the knob is off, [`StoreTelemetry::maybe_start`] returns `None`
-//! and every `record_*` method is a no-op, so the disabled cost is one
-//! branch per site.  Recording never takes a lock and never allocates
-//! (the primitives are `pds_core::telemetry` atomics), so every site —
-//! including those inside shard-guard windows — is legal under the
+//! Recording is **unconditional** — there is no switch, so no second
+//! configuration to test or time (`pds-perf`'s traced runs are the one
+//! place its cost is measured).  Recording never takes a lock and never
+//! allocates (the primitives are `pds_core::telemetry` atomics), so every
+//! site — including those inside shard-guard windows — is legal under the
 //! analyzer's lock-discipline rule.  Telemetry reads the clock but never
 //! feeds back into results: the `telemetry_invisibility` suite pins that
-//! estimates, snapshots and segment bytes are bit-identical with the
-//! knob on and off.
+//! estimates, snapshots and segment bytes are bit-identical whether or not
+//! the surfaces are scraped mid-stream.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -114,7 +113,6 @@ const EVENT_CAPACITY: usize = 256;
 /// counters describe a process's activity, not the data).
 #[derive(Debug)]
 pub(crate) struct StoreTelemetry {
-    enabled: bool,
     registry: Registry,
     events: EventRing,
     ingest_records: Vec<Arc<Counter>>,
@@ -148,13 +146,8 @@ pub(crate) struct StoreTelemetry {
 
 impl StoreTelemetry {
     /// Registers every store series (one ingest counter per partition).
-    pub(crate) fn new(partitions: usize, enabled: bool) -> Self {
+    pub(crate) fn new(partitions: usize) -> Self {
         let registry = Registry::new();
-        // Rendered straight from the registry; nothing records into it
-        // after this set, so no field keeps a handle.
-        registry
-            .gauge("pds_store_telemetry_enabled", "")
-            .set(f64::from(u8::from(enabled)));
         let ingest_records = (0..partitions)
             .map(|p| {
                 registry.counter(
@@ -164,7 +157,6 @@ impl StoreTelemetry {
             })
             .collect();
         StoreTelemetry {
-            enabled,
             ingest_records,
             ingest_batches: registry.counter("pds_store_ingest_batches_total", ""),
             ingest_batch_seconds: registry.histogram("pds_store_ingest_batch_seconds", ""),
@@ -201,42 +193,23 @@ impl StoreTelemetry {
         }
     }
 
-    /// Starts a stopwatch when telemetry is enabled; `None` otherwise.
-    /// Pair the result with a `record_*` method (the analyzer's
-    /// `telemetry-pairing` rule checks the pairing at every observe site).
-    pub(crate) fn maybe_start(&self) -> Option<Stopwatch> {
-        if self.enabled {
-            Some(Stopwatch::start())
-        } else {
-            None
-        }
-    }
-
     /// One record inserted into partition `p`'s shard (the single choke
     /// point shared by the per-record and batched ingest paths).
     pub(crate) fn record_ingest(&self, p: usize) {
-        if !self.enabled {
-            return;
-        }
         if let Some(counter) = self.ingest_records.get(p) {
             counter.inc();
         }
     }
 
     /// One per-partition sub-batch inserted under a single shard lock.
-    pub(crate) fn record_batch(&self, sw: Option<Stopwatch>) {
-        if let Some(sw) = sw {
-            self.ingest_batches.inc();
-            self.ingest_batch_seconds.observe(sw);
-        }
+    pub(crate) fn record_batch(&self, sw: Stopwatch) {
+        self.ingest_batches.inc();
+        self.ingest_batch_seconds.observe(sw);
     }
 
     /// One memtable frozen for sealing; `rotated` when the shard's WAL
     /// rotated with it (emits a [`event::WAL_ROTATED`] event).
     pub(crate) fn record_frozen(&self, p: usize, seq: u64, rotated: bool) {
-        if !self.enabled {
-            return;
-        }
         self.freezes.inc();
         if rotated {
             self.wal_rotations.inc();
@@ -246,34 +219,25 @@ impl StoreTelemetry {
 
     /// One WAL group commit (the flush/fsync at the ingest-call or
     /// sub-batch boundary).
-    pub(crate) fn record_wal_commit(&self, sw: Option<Stopwatch>) {
-        if let Some(sw) = sw {
-            self.wal_commits.inc();
-            self.wal_commit_seconds.observe(sw);
-        }
+    pub(crate) fn record_wal_commit(&self, sw: Stopwatch) {
+        self.wal_commits.inc();
+        self.wal_commit_seconds.observe(sw);
     }
 
     /// One segment built from a frozen memtable.
-    pub(crate) fn record_seal_build(&self, sw: Option<Stopwatch>) {
-        if let Some(sw) = sw {
-            self.seal_build_seconds.observe(sw);
-        }
+    pub(crate) fn record_seal_build(&self, sw: Stopwatch) {
+        self.seal_build_seconds.observe(sw);
     }
 
     /// One durable seal commit (blob publish + manifest record) of
     /// `bytes` blob bytes.
-    pub(crate) fn record_seal_commit(&self, sw: Option<Stopwatch>, bytes: u64) {
-        if let Some(sw) = sw {
-            self.seal_bytes.add(bytes);
-            self.seal_commit_seconds.observe(sw);
-        }
+    pub(crate) fn record_seal_commit(&self, sw: Stopwatch, bytes: u64) {
+        self.seal_bytes.add(bytes);
+        self.seal_commit_seconds.observe(sw);
     }
 
     /// One segment installed in memory at its sequence position.
     pub(crate) fn record_installed(&self, p: usize, seq: u64, records: u64) {
-        if !self.enabled {
-            return;
-        }
         self.events
             .push(event::SEAL_INSTALLED, p as u64, seq, records);
     }
@@ -282,28 +246,23 @@ impl StoreTelemetry {
     /// output at `out_seq`, whose blob is `bytes` long when durable).
     pub(crate) fn record_compaction(
         &self,
-        sw: Option<Stopwatch>,
+        sw: Stopwatch,
         p: usize,
         out_seq: u64,
         inputs: u64,
         bytes: u64,
     ) {
-        if let Some(sw) = sw {
-            self.compaction_rounds.inc();
-            self.compaction_input_segments.add(inputs);
-            self.compaction_bytes.add(bytes);
-            self.compaction_seconds.observe(sw);
-            self.events
-                .push(event::COMPACTION_COMMITTED, p as u64, out_seq, inputs);
-        }
+        self.compaction_rounds.inc();
+        self.compaction_input_segments.add(inputs);
+        self.compaction_bytes.add(bytes);
+        self.compaction_seconds.observe(sw);
+        self.events
+            .push(event::COMPACTION_COMMITTED, p as u64, out_seq, inputs);
     }
 
     /// Crash recovery finished: `segments` reloaded from blobs and
     /// `records` recovered in `seconds` wall time.
     pub(crate) fn record_recovery(&self, seconds: f64, segments: u64, records: u64) {
-        if !self.enabled {
-            return;
-        }
         self.recovery_seconds.set(seconds);
         self.recovered_records.add(records);
         self.events
@@ -315,9 +274,6 @@ impl StoreTelemetry {
     /// count into separate `kind` label series so a matrix run can tell
     /// them apart from genuine environment trouble.
     pub(crate) fn record_io_error(&self, site: &str, e: &std::io::Error, attempt: u32) {
-        if !self.enabled {
-            return;
-        }
         let injected = vfs::fault::is_injected(e);
         if injected {
             self.io_errors_injected.inc();
@@ -334,31 +290,21 @@ impl StoreTelemetry {
 
     /// One bounded retry issued after a transient-class failure.
     pub(crate) fn record_io_retry(&self) {
-        if !self.enabled {
-            return;
-        }
         self.io_retries.inc();
     }
 
     /// One best-effort cleanup (tmp/frozen-log/orphan-blob removal) that
     /// failed with something other than `NotFound`.
     pub(crate) fn record_cleanup_error(&self, site: &str) {
-        if !self.enabled {
-            return;
-        }
         self.io_cleanup_errors.inc();
         self.events
             .push(event::CLEANUP_ERROR, site_index(site), 0, 0);
     }
 
-    /// The store entered (or reopened out of) its sticky degraded
-    /// read-only mode.  The gauge records regardless of the telemetry
-    /// knob: health is operational state, not workload accounting.
+    /// The store entered its sticky degraded read-only mode.
     pub(crate) fn record_degraded(&self, site: &str) {
         self.degraded.set(1.0);
-        if self.enabled {
-            self.events.push(event::DEGRADED, site_index(site), 0, 0);
-        }
+        self.events.push(event::DEGRADED, site_index(site), 0, 0);
     }
 
     /// One range query's sealed-segment scan: `visited` segments had
@@ -369,27 +315,18 @@ impl StoreTelemetry {
     ///
     /// [`SnapshotView`]: crate::SnapshotView
     pub(crate) fn record_scan(&self, visited: u64, pruned: u64) {
-        if !self.enabled {
-            return;
-        }
         self.segments_visited.add(visited);
         self.segments_pruned.add(pruned);
     }
 
     /// One lazy synopsis block loaded from a blob on first touch.
     pub(crate) fn record_block_load(&self) {
-        if !self.enabled {
-            return;
-        }
         self.block_loads.inc();
     }
 
     /// One `merge_global` call served from (or missing) the
     /// version-stamped merged-synopsis cache.
     pub(crate) fn record_merge_cache(&self, hit: bool) {
-        if !self.enabled {
-            return;
-        }
         if hit {
             self.merge_cache_hits.inc();
         } else {
@@ -398,11 +335,9 @@ impl StoreTelemetry {
     }
 
     /// One timed query operation.
-    pub(crate) fn record_query(&self, op: QueryOp, sw: Option<Stopwatch>) {
-        if let Some(sw) = sw {
-            if let Some(hist) = self.query_seconds.get(op as usize) {
-                hist.observe(sw);
-            }
+    pub(crate) fn record_query(&self, op: QueryOp, sw: Stopwatch) {
+        if let Some(hist) = self.query_seconds.get(op as usize) {
+            hist.observe(sw);
         }
     }
 
@@ -463,48 +398,33 @@ impl StoreTelemetry {
 /// hooks that make every I/O failure (retried, surfaced, or best-effort
 /// cleanup) observable.  Cloned into each [`PartitionWal`] and
 /// [`Manifest`] handle; the default (used by handles opened outside a
-/// store) retries twice with no backoff and records nothing.
+/// store) retries the same way and records nothing.
 ///
 /// [`PartitionWal`]: crate::wal::PartitionWal
 /// [`Manifest`]: crate::manifest::Manifest
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct IoPolicy {
-    /// Retries after the first failed attempt (`0` disables retry).
-    retries: u32,
-    /// Base backoff before retry `k` sleeps `backoff_ms << k` milliseconds.
-    backoff_ms: u64,
     /// Telemetry sink; `None` for standalone WAL/manifest handles.
     telemetry: Option<Arc<StoreTelemetry>>,
 }
 
-impl Default for IoPolicy {
-    fn default() -> Self {
-        IoPolicy {
-            retries: 2,
-            backoff_ms: 0,
-            telemetry: None,
-        }
-    }
-}
-
 impl IoPolicy {
-    /// A policy with the store's configured retry budget, reporting into
-    /// the store's telemetry.
-    pub(crate) fn new(
-        retries: u32,
-        backoff_ms: u64,
-        telemetry: Option<Arc<StoreTelemetry>>,
-    ) -> Self {
+    /// Retries after the first failed attempt.
+    const RETRIES: u32 = 2;
+    /// Base backoff: retry `k` first sleeps `BACKOFF_MS << k` milliseconds.
+    const BACKOFF_MS: u64 = 1;
+
+    /// The policy of a store-owned handle, reporting into the store's
+    /// telemetry.
+    pub(crate) fn new(telemetry: Arc<StoreTelemetry>) -> Self {
         IoPolicy {
-            retries,
-            backoff_ms,
-            telemetry,
+            telemetry: Some(telemetry),
         }
     }
 
     /// Runs an **idempotent** durable operation with bounded retry:
     /// every failure is observed into telemetry, every retry counted and
-    /// backed off exponentially (`backoff_ms << attempt`), and the final
+    /// backed off exponentially (`BACKOFF_MS << attempt`), and the final
     /// failure returned to the caller (who degrades the store).  Only
     /// operations safe to re-issue belong here — `wal-append` notably
     /// does not (see [`PartitionWal::append`](crate::wal::PartitionWal::append)).
@@ -519,15 +439,13 @@ impl IoPolicy {
                 Ok(value) => return Ok(value),
                 Err(e) => {
                     self.observe_attempt(site, &e, attempt);
-                    if attempt >= self.retries {
+                    if attempt >= Self::RETRIES {
                         return Err(e);
                     }
                     if let Some(tel) = &self.telemetry {
                         tel.record_io_retry();
                     }
-                    if self.backoff_ms > 0 {
-                        std::thread::sleep(Duration::from_millis(self.backoff_ms << attempt));
-                    }
+                    std::thread::sleep(Duration::from_millis(Self::BACKOFF_MS << attempt));
                     attempt += 1;
                 }
             }
@@ -567,49 +485,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_telemetry_records_nothing() {
-        let tel = StoreTelemetry::new(2, false);
-        assert!(tel.maybe_start().is_none());
-        tel.record_ingest(0);
-        tel.record_frozen(0, 0, true);
-        tel.record_recovery(1.0, 1, 2);
-        tel.record_batch(None);
-        tel.record_scan(5, 3);
-        tel.record_block_load();
-        tel.record_merge_cache(true);
-        tel.record_merge_cache(false);
-        let stats = StoreStats {
-            ingested_records: 0,
-            live_records: 0,
-            seals: 0,
-            segments: 0,
-            split_tuples: 0,
-        };
-        let text = tel.render(&stats);
-        assert!(text.contains("pds_store_telemetry_enabled 0"));
-        assert!(text.contains("pds_store_ingest_records_total{partition=\"0\"} 0"));
-        assert!(text.contains("pds_store_freezes_total 0"));
-        assert!(text.contains("pds_store_segments_visited_total 0"));
-        assert!(text.contains("pds_store_segments_pruned_total 0"));
-        assert!(text.contains("pds_store_block_loads_total 0"));
-        assert!(text.contains("pds_store_merge_cache_hits_total 0"));
-        assert!(text.contains("pds_store_merge_cache_misses_total 0"));
-        assert!(tel.render_events().is_empty());
-    }
-
-    #[test]
     fn enabled_telemetry_counts_and_traces() {
-        let tel = StoreTelemetry::new(2, true);
+        let tel = StoreTelemetry::new(2);
         tel.record_ingest(0);
         tel.record_ingest(0);
         tel.record_ingest(1);
         tel.record_ingest(99); // out of range: ignored, never panics
-        let sw = tel.maybe_start();
-        tel.record_batch(sw);
+        tel.record_batch(Stopwatch::start());
         tel.record_frozen(1, 7, true);
         tel.record_installed(1, 7, 1234);
-        let sw = tel.maybe_start();
-        tel.record_compaction(sw, 1, 9, 3, 77);
+        tel.record_compaction(Stopwatch::start(), 1, 9, 3, 77);
         tel.record_recovery(0.25, 2, 500);
         tel.record_scan(10, 7);
         tel.record_block_load();
@@ -624,7 +509,6 @@ mod tests {
             split_tuples: 0,
         };
         let text = tel.render(&stats);
-        assert!(text.contains("pds_store_telemetry_enabled 1"));
         assert!(text.contains("pds_store_ingest_records_total{partition=\"0\"} 2"));
         assert!(text.contains("pds_store_ingest_records_total{partition=\"1\"} 1"));
         assert!(text.contains("pds_store_ingest_batches_total 1"));
@@ -651,7 +535,7 @@ mod tests {
 
     #[test]
     fn io_errors_split_injected_from_real() {
-        let tel = StoreTelemetry::new(1, true);
+        let tel = StoreTelemetry::new(1);
         let real = std::io::Error::other("disk on fire");
         let injected = std::io::Error::other("injected eio at wal-commit");
         tel.record_io_error("wal-commit", &real, 0);
@@ -681,27 +565,9 @@ mod tests {
     }
 
     #[test]
-    fn degraded_gauge_sets_even_with_telemetry_off() {
-        // Health is operational state: the gauge must be scrape-able even
-        // when workload accounting is disabled.  The event ring stays
-        // silent (it is workload accounting).
-        let tel = StoreTelemetry::new(1, false);
-        tel.record_degraded("blob-publish");
-        let stats = StoreStats {
-            ingested_records: 0,
-            live_records: 0,
-            seals: 0,
-            segments: 0,
-            split_tuples: 0,
-        };
-        assert!(tel.render(&stats).contains("pds_store_degraded 1"));
-        assert!(tel.render_events().is_empty());
-    }
-
-    #[test]
     fn io_policy_retries_then_surfaces_final_failure() {
-        let tel = Arc::new(StoreTelemetry::new(1, true));
-        let policy = IoPolicy::new(2, 0, Some(Arc::clone(&tel)));
+        let tel = Arc::new(StoreTelemetry::new(1));
+        let policy = IoPolicy::new(Arc::clone(&tel));
         let mut calls = 0u32;
         let out: std::io::Result<u32> = policy.run("manifest-install", || {
             calls += 1;
@@ -733,8 +599,8 @@ mod tests {
 
     #[test]
     fn cleanup_ignores_not_found_counts_the_rest() {
-        let tel = Arc::new(StoreTelemetry::new(1, true));
-        let policy = IoPolicy::new(0, 0, Some(Arc::clone(&tel)));
+        let tel = Arc::new(StoreTelemetry::new(1));
+        let policy = IoPolicy::new(Arc::clone(&tel));
         policy.cleanup(
             "cleanup",
             Err(std::io::Error::from(std::io::ErrorKind::NotFound)),

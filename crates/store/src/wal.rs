@@ -594,7 +594,7 @@ mod tests {
         StreamRecord::Basic { item, prob }
     }
 
-    /// Scan with nothing covered and the default (no-retry) policy.
+    /// Scan with nothing covered and the default (telemetry-less) policy.
     fn scan(dir: &Path, partition: usize) -> Result<WalReplay> {
         PartitionWal::scan(dir, partition, &BTreeSet::new(), &IoPolicy::default())
     }

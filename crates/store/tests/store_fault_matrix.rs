@@ -1,6 +1,7 @@
 //! The deterministic I/O fault matrix: every labelled fault site
 //! ([`pds_store::FAULT_SITES`]) crossed with every injectable error class
-//! ([`ErrorClass::ALL`]) — 60 rows.  Each row arms the vfs fault injector
+//! ([`ErrorClass::ALL`]) — 60 rows, plus the multi-partition `seal_all`
+//! row.  Each row arms the vfs fault injector
 //! at one site, drives the store operation that crosses it, and asserts
 //! the robustness contract:
 //!
@@ -305,6 +306,54 @@ fn seal_path_faults_restore_records_and_degrade() {
             assert_same_estimates(&reopened, &mirror, &format!("after healed seal ({ctx})"));
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+}
+
+/// `seal_all` × every class, failing at a *later* partition's rotation:
+/// partition 0 freezes (its two `wal-rotate` operations pass), partition
+/// 1's rotation fails for good.  Nothing will seal partition 0 any more,
+/// so `seal_all` must hand its frozen records back before returning: live
+/// again in the memtable, `seals` counting only seals that installed, reads
+/// bit-stable, and every acknowledged record replayed at reopen.
+#[test]
+fn seal_all_unfreezes_earlier_partitions_when_a_later_freeze_fails() {
+    for class in ErrorClass::ALL {
+        let ctx = format!("seal_all wal-rotate/{}", class.name());
+        let dir = unique_dir("seal-all-rotate", class);
+        let mirror = SynopsisStore::new(config()).unwrap();
+        let store = SynopsisStore::open_with_wal(config(), &dir).unwrap();
+        // Partition 1 (items `12..24`) needs records too, or it never freezes.
+        let upper = (0..4).map(|i| StreamRecord::Basic {
+            item: 12 + i,
+            prob: 0.11 + 0.07 * i as f64,
+        });
+        for record in acked_records(6).into_iter().chain(upper) {
+            mirror.ingest(record.clone()).unwrap();
+            store.ingest(record).unwrap();
+        }
+
+        let guard = fault::arm(FaultSpec::transient("wal-rotate", class, 3, u64::MAX).scoped(&dir));
+        let before = fault::injected_total();
+        assert_degraded(store.seal_all(), &ctx);
+        assert!(fault::injected_total() > before, "no injection ({ctx})");
+        assert_eq!(
+            store.stats(),
+            mirror.stats(),
+            "no seal installed, so none may be counted ({ctx})"
+        );
+        for p in 0..PARTS {
+            assert_eq!(
+                store.memtable_snapshot(p).len(),
+                mirror.memtable_snapshot(p).len(),
+                "partition {p}'s records must be live again ({ctx})"
+            );
+        }
+        assert_same_estimates(&store, &mirror, &format!("during degradation ({ctx})"));
+
+        drop(store);
+        drop(guard);
+        assert_clean_reopen(&dir, &mirror, &ctx);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

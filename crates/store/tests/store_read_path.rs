@@ -11,11 +11,12 @@ use pds_core::pool;
 use pds_core::stream::StreamRecord;
 use pds_store::{PartitionSpec, StoreConfig, SynopsisKind, SynopsisStore};
 
-/// Domain and partitioning: 4 partitions of 12 items each.
-const N: usize = 48;
+/// Domain and partitioning: 4 partitions of 24 items each, 12 two-item
+/// bands per partition — a point query can need at most 1 segment in 12.
+const N: usize = 96;
 const PARTS: usize = 4;
 const BAND: usize = 2;
-const BANDS: usize = 6;
+const BANDS: usize = 12;
 
 fn config() -> StoreConfig {
     StoreConfig::new(
@@ -27,7 +28,7 @@ fn config() -> StoreConfig {
 }
 
 /// One burst of records confined to band `k` of every partition: items
-/// `p*12 + [2k, 2k+2)`.  Sealing after each burst yields `BANDS` segments
+/// `p*24 + [2k, 2k+2)`.  Sealing after each burst yields `BANDS` segments
 /// per partition with narrow, disjoint support fences — the shape pruning
 /// exists for.
 fn burst(k: usize) -> Vec<StreamRecord> {
@@ -142,9 +143,24 @@ fn pruning_is_bitwise_invisible_at_every_pool_width() {
                 "answers drifted across pool widths at {threads} threads"
             ),
         }
+        // Point queries over the banded store consult at most a tenth of
+        // the segments a full walk would (`visited + pruned` is every
+        // segment of the touched partition).
+        let scan = || {
+            let visited = metric(&store, "pds_store_segments_visited_total");
+            (visited, metric(&store, "pds_store_segments_pruned_total"))
+        };
+        let (visited_before, pruned_before) = scan();
+        for item in 0..N {
+            let _ = store.estimate(item);
+        }
+        let (visited, pruned) = scan();
+        let (visited, pruned) = (visited - visited_before, pruned - pruned_before);
+        assert_eq!(visited + pruned, (N * BANDS) as u64);
         assert!(
-            metric(&store, "pds_store_segments_pruned_total") > 0,
-            "banded narrow queries must prune segments"
+            visited * 10 <= visited + pruned,
+            "point queries visited {visited} of {} segments (budget 10%)",
+            visited + pruned
         );
     }
     pool::set_num_threads(None);

@@ -4,7 +4,9 @@
 //! synopses into one global histogram, and serve range-count/sum AQP queries
 //! — comparing the sharded pipeline's accuracy against a monolithic
 //! single-build histogram over the same data, and the compact binary segment
-//! encoding against its JSON debug form.
+//! encoding against the JSON form of the histogram it embeds.  The timing
+//! lines it prints are narration, not gates: `pds-perf` owns every timed
+//! claim.
 //!
 //! ```text
 //! cargo run --release --example pds_store_pipeline
@@ -23,8 +25,9 @@ const SEGMENT_BUCKETS: usize = 48;
 const GLOBAL_BUCKETS: usize = 32;
 
 /// Parses `--threads <n>` (or `--threads=<n>`) from the command line: the
-/// pool width `ingest_batch`, `seal_all` and `compact_all` run at (the
-/// `PDS_THREADS` / hardware default without the flag).
+/// pool width `seal_all`, `compact_all` and `merge_global` run at (the
+/// `PDS_THREADS` / hardware default without the flag).  Ingest itself is
+/// single-threaded per call.
 fn threads_arg() -> Option<usize> {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -46,512 +49,7 @@ fn reopen_arg() -> bool {
     std::env::args().skip(1).any(|a| a == "--reopen")
 }
 
-/// `--telemetry-gate`: instead of the full pipeline, measure batched
-/// ingest+seal throughput with the telemetry knob on and off (alternating
-/// rounds, min-of-N against scheduler noise) and fail unless the
-/// instrumented store stays within 5% of the uninstrumented one.
-fn telemetry_gate_arg() -> bool {
-    std::env::args().skip(1).any(|a| a == "--telemetry-gate")
-}
-
-/// The `--telemetry-gate` benchmark: telemetry must cost (almost) nothing.
-fn run_telemetry_gate() -> Result<()> {
-    const GATE_RECORDS: usize = 400_000;
-    const ROUNDS: usize = 3;
-    let records: Vec<StreamRecord> = basic_stream(BasicStreamConfig {
-        n: N,
-        skew: 0.7,
-        seed: 42,
-    })
-    .take(GATE_RECORDS)
-    .collect();
-
-    let run_once = |telemetry: bool| -> Result<f64> {
-        let mut config = StoreConfig::new(
-            PartitionSpec::uniform(N, PARTITIONS)?,
-            SEAL_THRESHOLD,
-            SEGMENT_BUCKETS,
-            SynopsisKind::Histogram(ErrorMetric::Sse),
-        );
-        config.telemetry = telemetry;
-        let store = SynopsisStore::new(config)?;
-        let t = Instant::now();
-        store.ingest_batch(records.iter().cloned())?;
-        store.seal_all()?;
-        let secs = t.elapsed().as_secs_f64();
-        // The timed work actually was (or was not) instrumented.
-        let scrape = store.render_metrics();
-        assert!(scrape.contains(&format!(
-            "pds_store_telemetry_enabled {}",
-            u8::from(telemetry)
-        )));
-        if telemetry {
-            assert!(scrape.contains("pds_store_ingest_batch_seconds_count"));
-        }
-        Ok(secs)
-    };
-
-    // Warm-up round per knob (page cache, allocator, cpu clocks), then
-    // alternate measured rounds so drift hits both knobs equally.
-    run_once(false)?;
-    run_once(true)?;
-    let (mut on_min, mut off_min) = (f64::INFINITY, f64::INFINITY);
-    for round in 0..ROUNDS {
-        let off = run_once(false)?;
-        let on = run_once(true)?;
-        off_min = off_min.min(off);
-        on_min = on_min.min(on);
-        println!(
-            "round {round}: telemetry off {:.0} tuples/s, on {:.0} tuples/s",
-            GATE_RECORDS as f64 / off,
-            GATE_RECORDS as f64 / on,
-        );
-    }
-    let overhead = on_min / off_min - 1.0;
-    println!(
-        "best-of-{ROUNDS}: off {off_min:.3}s, on {on_min:.3}s — overhead {:.2}%",
-        overhead * 100.0,
-    );
-    assert!(
-        on_min <= off_min * 1.05,
-        "telemetry overhead {:.2}% exceeds the 5% ingest budget",
-        overhead * 100.0,
-    );
-    println!("telemetry gate passed: instrumented ingest within 5% of uninstrumented");
-    Ok(())
-}
-
-/// `--read-gate`: instead of the full pipeline, gate the three read-path
-/// accelerations — segment pruning, the merged-synopsis cache and lazy
-/// synopsis blocks — from one store's own counters and answers: point
-/// queries visit ≤ 10% of the segments a full walk would, a cached
-/// repeat-`MERGE` is ≥ 10x faster than a cold one, and a reopened store
-/// loads no synopsis block until queried and then answers a query grid
-/// bitwise-identically to the store that wrote the directory.  (Reopen
-/// *time* is watched by `pds-perf`: `restart_first_answer_ms`.)
-fn read_gate_arg() -> bool {
-    std::env::args().skip(1).any(|a| a == "--read-gate")
-}
-
-/// One counter's value in a store's Prometheus-style text exposition.
-fn scrape_counter(store: &SynopsisStore, name: &str) -> u64 {
-    let text = store.render_metrics();
-    text.lines()
-        .find_map(|line| {
-            line.strip_prefix(name)
-                .and_then(|rest| rest.trim().parse().ok())
-        })
-        .unwrap_or_else(|| panic!("metric {name} missing from scrape"))
-}
-
-/// The `--read-gate` benchmark and equivalence gate.
-fn run_read_gate() -> Result<()> {
-    // ------------------------------------------------- phase A: pruning
-    // 40 bursts per partition, each confined to a disjoint 16-item band,
-    // sealed burst by burst: 8 partitions x 40 bands = 320 segments whose
-    // support fences tile the domain — the shape pruning exists for.
-    const BANDS: usize = 40;
-    const BAND_WIDTH: usize = 16;
-    let part_width = N / PARTITIONS;
-    let burst = |k: usize| -> Vec<StreamRecord> {
-        let mut records = Vec::new();
-        for p in 0..PARTITIONS {
-            for j in 0..BAND_WIDTH {
-                let item = p * part_width + k * BAND_WIDTH + j;
-                for rep in 0..4usize {
-                    let prob = 0.05 + ((item * 7 + rep * 3) % 17) as f64 * 0.05;
-                    records.push(StreamRecord::Basic { item, prob });
-                }
-            }
-        }
-        records
-    };
-    let banded = SynopsisStore::new(StoreConfig::new(
-        PartitionSpec::uniform(N, PARTITIONS)?,
-        usize::MAX, // manual seals: one segment per burst per partition
-        SEGMENT_BUCKETS,
-        SynopsisKind::Histogram(ErrorMetric::Sse),
-    ))?;
-    for k in 0..BANDS {
-        banded.ingest_batch(burst(k))?;
-        banded.seal_all()?;
-    }
-    let segments = banded.stats().segments;
-    assert!(
-        segments >= 200,
-        "the prune phase needs >= 200 segments, built {segments}"
-    );
-
-    // Point queries and narrow ranges across the covered region.  Every
-    // segment of a touched partition is either visited or pruned, so
-    // `visited + pruned` is exactly what a full walk would have visited.
-    let covered = BANDS * BAND_WIDTH;
-    for q in 0..2_000usize {
-        let item = (q / PARTITIONS) * 131 % covered + (q % PARTITIONS) * part_width;
-        let hi = (item + q % BAND_WIDTH).min(N - 1);
-        std::hint::black_box(banded.range_estimate(item, item));
-        std::hint::black_box(banded.range_estimate(item, hi));
-    }
-    let visited = scrape_counter(&banded, "pds_store_segments_visited_total");
-    let full_walk = visited + scrape_counter(&banded, "pds_store_segments_pruned_total");
-    let visit_ratio = visited as f64 / full_walk as f64;
-    println!(
-        "prune phase: {segments} segments, 4 000 queries — {visited} segment visits vs \
-         {full_walk} full-walk ({:.2}% touched)",
-        visit_ratio * 100.0,
-    );
-    assert!(
-        visit_ratio <= 0.10,
-        "pruned queries touched {:.2}% of the full-walk segment visits (budget 10%)",
-        visit_ratio * 100.0,
-    );
-
-    // -------------------------------------------- phase B: merge cache
-    // Alternating rounds: evict with a different budget, time a cold
-    // merge, time the cached repeat; min-of-N against scheduler noise.
-    const MERGE_ROUNDS: usize = 3;
-    let (mut cold_min, mut warm_min) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..MERGE_ROUNDS {
-        banded.merge_global(GLOBAL_BUCKETS - 1)?; // evict the cached entry
-        let t = Instant::now();
-        let cold = banded.merge_global(GLOBAL_BUCKETS)?;
-        cold_min = cold_min.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        let warm = banded.merge_global(GLOBAL_BUCKETS)?;
-        warm_min = warm_min.min(t.elapsed().as_secs_f64());
-        assert_eq!(
-            cold.to_binary()?,
-            warm.to_binary()?,
-            "cached MERGE must replay byte-identically"
-        );
-    }
-    assert!(scrape_counter(&banded, "pds_store_merge_cache_hits_total") >= MERGE_ROUNDS as u64);
-    let merge_speedup = cold_min / warm_min;
-    println!(
-        "merge-cache phase: cold merge {:.3}ms, cached repeat {:.3}ms — {merge_speedup:.0}x, \
-         byte-identical",
-        cold_min * 1e3,
-        warm_min * 1e3,
-    );
-    assert!(
-        merge_speedup >= 10.0,
-        "cached repeat-MERGE speedup {merge_speedup:.1}x is under the 10x bar"
-    );
-
-    // -------------------------------------------- phase C: lazy blocks
-    // A durable store of 256 wavelet segments with dense coefficient
-    // blocks (~tens of KB each): a reopen maps footers and prune metadata
-    // only, and must still answer exactly like the store that sealed them.
-    const LAZY_PARTS: usize = 4;
-    const LAZY_ROUNDS: usize = 64;
-    let lazy_config = StoreConfig::new(
-        PartitionSpec::uniform(N, LAZY_PARTS)?,
-        usize::MAX,
-        N / LAZY_PARTS, // keep every Haar coefficient: decode-heavy blobs
-        SynopsisKind::Wavelet,
-    );
-    let grid = |store: &SynopsisStore| -> Vec<u64> {
-        let mut out = Vec::new();
-        for lo in (0..N).step_by(97) {
-            out.push(store.estimate(lo).to_bits());
-            out.push(store.range_estimate(lo, lo + 250).to_bits());
-            out.push(store.range_estimate(lo, N - 1).to_bits());
-        }
-        out
-    };
-    let dir = std::env::temp_dir().join(format!("pds-read-gate-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let written_grid = {
-        let store = SynopsisStore::open_with_wal(lazy_config.clone(), &dir)?;
-        let mut stream = basic_stream(BasicStreamConfig {
-            n: N,
-            skew: 0.4,
-            seed: 9,
-        });
-        for _ in 0..LAZY_ROUNDS {
-            store.ingest_batch(stream.by_ref().take(3_000))?;
-            store.seal_all()?;
-        }
-        assert_eq!(store.stats().segments, LAZY_PARTS * LAZY_ROUNDS);
-        grid(&store)
-    };
-    let t = Instant::now();
-    let reopened = SynopsisStore::open_with_wal(lazy_config, &dir)?;
-    let reopen_secs = t.elapsed().as_secs_f64();
-    assert_eq!(
-        scrape_counter(&reopened, "pds_store_block_loads_total"),
-        0,
-        "a reopen must not touch any synopsis block"
-    );
-    assert_eq!(
-        grid(&reopened),
-        written_grid,
-        "the reopened store diverged from the writing store on the query grid"
-    );
-    let block_loads = scrape_counter(&reopened, "pds_store_block_loads_total");
-    println!(
-        "lazy-reopen phase: {} segments reopened in {:.2}ms with 0 block loads; the query \
-         grid loaded {block_loads} and answered bitwise-equal to the writing store",
-        LAZY_PARTS * LAZY_ROUNDS,
-        reopen_secs * 1e3,
-    );
-    drop(reopened);
-    let _ = std::fs::remove_dir_all(&dir);
-    println!(
-        "read gate passed: <= 10% segment touches, {merge_speedup:.0}x cached MERGE, \
-         lazy reopen bitwise-equal"
-    );
-    Ok(())
-}
-
-/// `--vfs-gate`: instead of the full pipeline, replay a WAL-shaped durable
-/// write workload twice — once through the `pds_core::vfs` passthrough the
-/// store's durable paths route through, once through the raw `std::fs`
-/// calls it replaced — and fail unless the passthrough stays within 5% of
-/// the direct calls (alternating rounds, min-of-N against scheduler noise).
-fn vfs_gate_arg() -> bool {
-    std::env::args().skip(1).any(|a| a == "--vfs-gate")
-}
-
-/// The `--vfs-gate` benchmark: with no fault armed, the fault-injectable
-/// I/O layer must cost (almost) nothing over the `std::fs` calls it wraps.
-///
-/// Two halves, each a "passthrough vs raw" comparison:
-///
-/// * **Timed** — the store's exact per-record WAL append shape:
-///   [`pds_store::wal::frame_record`] (serialise + CRC-frame) followed by
-///   a buffered write, into a group-commit staging buffer.  The vfs run
-///   routes the write through [`pds_core::vfs::write_all`] — what
-///   `PartitionWal::append` does since the refactor — the baseline issues
-///   the raw `write_all` the pre-refactor code issued.  Per-record appends
-///   are the only place the per-call check (one relaxed atomic load)
-///   could show — on a syscall it is noise by construction — and keeping
-///   the timed loop off the disk keeps the gate sharp: fsync latency on a
-///   shared box swings tens of percent between runs, which would drown
-///   the very cost being gated.
-/// * **Untimed** — the full file-backed WAL round (append, group commit,
-///   rotation, segment-blob publish) against both backends, asserting the
-///   vfs run leaves **byte-identical** files behind: a passthrough must
-///   pass through.
-fn run_vfs_gate() -> Result<()> {
-    use std::io::{BufWriter, Write};
-
-    const FRAMES: usize = 300_000;
-    const FRAME_BYTES: usize = 64;
-    const ROUNDS: usize = 12;
-    // Any label works: nothing is armed, so the gate times the pure
-    // passthrough — exactly what production runs.
-    const SITE: &str = "wal-append";
-
-    let root = std::env::temp_dir().join(format!("pds-vfs-gate-{}", std::process::id()));
-    let log_hint = root.join("wal.log"); // fault-scope hint only; never opened
-
-    let records: Vec<StreamRecord> = basic_stream(BasicStreamConfig {
-        n: N,
-        skew: 0.7,
-        seed: 42,
-    })
-    .take(10_000)
-    .collect();
-
-    // Timed half: one all-in-memory group-commit round over the real
-    // framed-append shape.  Returns wall time plus a checksum so the
-    // compiler cannot elide the writes.
-    let run_timed = |via_vfs: bool| -> Result<(f64, u64)> {
-        const COMMIT_EVERY: usize = 10_000;
-        let mut staging: Vec<u8> = Vec::with_capacity(COMMIT_EVERY * 48);
-        let mut checksum = 0u64;
-        let t = Instant::now();
-        for i in 0..FRAMES {
-            let frame = pds_store::wal::frame_record(&records[i % records.len()])?;
-            let io = if via_vfs {
-                pds_core::vfs::write_all(SITE, &log_hint, &mut staging, frame.as_bytes())
-            } else {
-                staging.write_all(frame.as_bytes())
-            };
-            io.map_err(|e| PdsError::InvalidParameter {
-                message: format!("vfs gate append failed: {e}"),
-            })?;
-            if (i + 1) % COMMIT_EVERY == 0 {
-                // Group commit: hand the batch off and reuse the buffer.
-                checksum = checksum
-                    .rotate_left(7)
-                    .wrapping_add(staging.iter().map(|&b| u64::from(b)).sum::<u64>());
-                staging.clear();
-            }
-        }
-        Ok((t.elapsed().as_secs_f64(), checksum))
-    };
-
-    // Untimed half: the full WAL-shaped round against real files — appends
-    // through a BufWriter, flush+fdatasync group commits, a log rotation
-    // by atomic rename, and a stage/sync/rename/dir-sync blob publish.
-    // Returns a checksum over every byte left on disk.
-    let run_files = |via_vfs: bool| -> std::io::Result<u64> {
-        const FILE_FRAMES: usize = 50_000;
-        let dir = root.join(if via_vfs { "vfs" } else { "std" });
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir)?;
-        let live = dir.join("wal-0001.log");
-        let retired = dir.join("wal-0000.retired");
-        let mut frame = [0u8; FRAME_BYTES];
-        let open = |path: &std::path::Path| -> std::io::Result<std::fs::File> {
-            if via_vfs {
-                pds_core::vfs::open_append(SITE, path, true)
-            } else {
-                std::fs::OpenOptions::new()
-                    .append(true)
-                    .create(true)
-                    .open(path)
-            }
-        };
-        let mut path = dir.join("wal-0000.log");
-        let mut writer = BufWriter::new(open(&path)?);
-        for i in 0..FILE_FRAMES {
-            frame[..8].copy_from_slice(&(i as u64).to_le_bytes());
-            if via_vfs {
-                pds_core::vfs::write_all(SITE, &path, &mut writer, &frame)?;
-            } else {
-                writer.write_all(&frame)?;
-            }
-            if (i + 1) % (FILE_FRAMES / 5) == 0 {
-                if via_vfs {
-                    pds_core::vfs::flush(SITE, &path, &mut writer)?;
-                    pds_core::vfs::sync_data(SITE, &path, writer.get_ref())?;
-                } else {
-                    writer.flush()?;
-                    writer.get_ref().sync_data()?;
-                }
-            }
-            if i + 1 == FILE_FRAMES / 2 {
-                // Rotation: retire the synced log, open a fresh one.
-                drop(writer);
-                if via_vfs {
-                    pds_core::vfs::rename(SITE, &path, &retired)?;
-                } else {
-                    std::fs::rename(&path, &retired)?;
-                }
-                path = live.clone();
-                writer = BufWriter::new(open(&path)?);
-            }
-        }
-        if via_vfs {
-            pds_core::vfs::flush(SITE, &path, &mut writer)?;
-            pds_core::vfs::sync_data(SITE, &path, writer.get_ref())?;
-        } else {
-            writer.flush()?;
-            writer.get_ref().sync_data()?;
-        }
-        drop(writer);
-
-        // Segment-blob style publish: stage, sync, rename, sync dir.
-        let blob: Vec<u8> = (0..64 * 1024usize)
-            .map(|i| (i.wrapping_mul(131)) as u8)
-            .collect();
-        let stage = dir.join("seg-0-1.bin.tmp");
-        let published = dir.join("seg-0-1.bin");
-        if via_vfs {
-            pds_core::vfs::write(SITE, &stage, &blob)?;
-            pds_core::vfs::sync_path(SITE, &stage)?;
-            pds_core::vfs::rename(SITE, &stage, &published)?;
-            pds_core::vfs::sync_dir(SITE, &dir)?;
-        } else {
-            std::fs::write(&stage, &blob)?;
-            std::fs::File::open(&stage)?.sync_data()?;
-            std::fs::rename(&stage, &published)?;
-            std::fs::File::open(&dir)?.sync_all()?;
-        }
-
-        let mut names: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)?
-            .map(|e| e.map(|e| e.path()))
-            .collect::<std::io::Result<_>>()?;
-        names.sort();
-        let mut checksum = 0u64;
-        for name in names {
-            for (i, b) in std::fs::read(&name)?.iter().enumerate() {
-                checksum = checksum
-                    .rotate_left(7)
-                    .wrapping_add(u64::from(*b))
-                    .wrapping_add(i as u64);
-            }
-        }
-        Ok(checksum)
-    };
-
-    let io_err = |e: std::io::Error| PdsError::InvalidParameter {
-        message: format!("vfs gate I/O failed: {e}"),
-    };
-    std::fs::create_dir_all(&root).map_err(io_err)?;
-
-    // Correctness first: the passthrough must pass through, byte for byte.
-    let std_files = run_files(false).map_err(io_err)?;
-    let vfs_files = run_files(true).map_err(io_err)?;
-    assert_eq!(
-        vfs_files, std_files,
-        "the vfs passthrough must leave byte-identical files behind"
-    );
-    println!("file round: vfs and std::fs backends left byte-identical WAL + blob files");
-
-    // Warm-up round per backend, then alternate measured rounds so drift
-    // hits both equally (same protocol as the telemetry gate).
-    let (_, std_sum) = run_timed(false)?;
-    let (_, vfs_sum) = run_timed(true)?;
-    assert_eq!(
-        vfs_sum, std_sum,
-        "the two backends buffered different bytes"
-    );
-    // Paired rounds: each round measures both backends back to back (the
-    // order swapping each round so drift favours neither side) and
-    // contributes one vfs/raw ratio.  The gate is the **median** ratio —
-    // adjacent-in-time pairs cancel machine drift, and the median shrugs
-    // off the occasional descheduled round that would whipsaw a
-    // min-of-N comparison on a shared box.
-    let mut ratios = Vec::with_capacity(ROUNDS);
-    for round in 0..ROUNDS {
-        let vfs_first = round % 2 == 0;
-        let (first, _) = run_timed(vfs_first)?;
-        let (second, _) = run_timed(!vfs_first)?;
-        let (vfs_secs, std_secs) = if vfs_first {
-            (first, second)
-        } else {
-            (second, first)
-        };
-        ratios.push(vfs_secs / std_secs);
-        println!(
-            "round {round}: raw appends {:.2}M frames/s, vfs appends {:.2}M frames/s \
-             (ratio {:.3})",
-            FRAMES as f64 / std_secs / 1e6,
-            FRAMES as f64 / vfs_secs / 1e6,
-            vfs_secs / std_secs,
-        );
-    }
-    let _ = std::fs::remove_dir_all(&root);
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    let median = (ratios[ROUNDS / 2 - 1] + ratios[ROUNDS / 2]) / 2.0;
-    let overhead = median - 1.0;
-    println!(
-        "median of {ROUNDS} paired rounds: vfs/raw ratio {median:.3} — overhead {:.2}%",
-        overhead * 100.0,
-    );
-    assert!(
-        median <= 1.05,
-        "vfs passthrough overhead {:.2}% exceeds the 5% budget",
-        overhead * 100.0,
-    );
-    println!("vfs gate passed: fault-injectable passthrough within 5% of raw appends");
-    Ok(())
-}
-
 fn main() -> Result<()> {
-    if telemetry_gate_arg() {
-        return run_telemetry_gate();
-    }
-    if vfs_gate_arg() {
-        return run_vfs_gate();
-    }
-    if read_gate_arg() {
-        return run_read_gate();
-    }
     // ------------------------------------------------------------ ingestion
     let threads = threads_arg();
     if let Some(t) = threads {
@@ -594,8 +92,8 @@ fn main() -> Result<()> {
         RECORDS as f64 / ingest_secs,
         mid_stats.seals,
         match threads {
-            Some(t) => format!("batch ingest on {t} pool thread(s)"),
-            None => "batch ingest, pool default threads".to_string(),
+            Some(t) => format!("batch ingest, pool width {t}"),
+            None => "batch ingest, default pool width".to_string(),
         },
     );
 
@@ -706,9 +204,14 @@ fn main() -> Result<()> {
         200,
     )?;
     let binary = wide.to_binary()?;
-    let json = wide.to_json()?;
+    // The embedded histogram's JSON alone: a lower bound on any JSON form
+    // of the whole segment.
+    let probsyn::store::SegmentSynopsis::Histogram(histogram) = wide.synopsis() else {
+        unreachable!("built as a histogram segment just above");
+    };
+    let json = histogram.to_json()?;
     println!(
-        "200-bucket histogram segment: binary {} bytes, JSON {} bytes ({:.1}x smaller)",
+        "200-bucket histogram segment: binary {} bytes, histogram JSON {} bytes ({:.1}x smaller)",
         binary.len(),
         json.len(),
         json.len() as f64 / binary.len() as f64,

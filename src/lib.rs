@@ -53,7 +53,7 @@
 //! | `crates/core`     | `pds-core`      | uncertainty models, worlds, moments, generators, stream records, binary-envelope primitives, scoped thread pool (`pds_core::pool`), lock-free telemetry primitives (`pds_core::telemetry`) |
 //! | `crates/histogram`| `pds-histogram` | bucket-cost oracles, DP (serial + level-parallel), `(1+ε)` approximation, partition-merge DP |
 //! | `crates/wavelet`  | `pds-wavelet`   | Haar transform, SSE and non-SSE thresholding |
-//! | `crates/store`    | `pds-store`     | concurrent sharded ingest memtables, off-lock sealing, per-partition WALs, compaction, store persistence, pipeline telemetry (counters/histograms/events behind `StoreConfig::telemetry`) |
+//! | `crates/store`    | `pds-store`     | concurrent sharded ingest memtables, off-lock sealing, per-partition WALs, compaction, store persistence, pipeline telemetry (counters/histograms/events, always on) |
 //! | `crates/server`   | `pds-server`    | snapshot-isolated TCP query/ingest front-end (`EST`/`RANGE`/`STATS [JSON]`/`MERGE`/`INGEST`/`METRICS`/admin verbs), worker pool over `pds_core::pool`, per-verb request telemetry |
 //! | `crates/bench`    | `pds-bench`     | workloads, report tables, figure binaries  |
 //! | `crates/analyze`  | `pds-analyze`   | workspace invariant checker (lock discipline, panic-freedom, binio framing, crash-point coverage, telemetry start/observe pairing) + deterministic decoder/recovery fuzzer |
@@ -63,10 +63,11 @@
 //! Every parallel path resolves its worker count through `pds_core::pool`
 //! (the `PDS_THREADS` environment variable, `pool::set_num_threads`, or the
 //! hardware default): the exact DP's level-parallel build and the store's
-//! batch ingest and `seal_all`/`compact_all`/`merge_global`.  The store
-//! owns no threads of its own: a seal runs on the caller that froze the
-//! memtable (off the shard lock), and concurrency beyond the pool comes
-//! from callers sharing one `SynopsisStore`.  All pool paths are
+//! `seal_all`/`compact_all`/`merge_global`.  The store owns no threads of
+//! its own: an ingest call inserts its batch on the calling thread, a seal
+//! runs on the caller that froze the memtable (off the shard lock), and
+//! concurrency beyond the pool comes from callers sharing one
+//! `SynopsisStore`.  All pool paths are
 //! **deterministic** — identical outputs (bit-for-bit) at every thread
 //! count — so parallelism is a pure throughput knob, pinned by the
 //! serial-vs-concurrent equivalence suites.
@@ -78,12 +79,11 @@
 //! latency histograms, a bounded event ring).  `SynopsisStore::render_metrics`
 //! and the server's `METRICS` verb expose everything as a Prometheus-style
 //! text scrape; `STATS JSON` returns the machine-readable store counters and
-//! `METRICS EVENTS` dumps the recent structured event trace.  The store-side
-//! knob is `StoreConfig::telemetry` (default on); turning it off is
-//! **bit-invisible** — estimates, snapshots and segment bytes are identical
-//! either way, pinned by a deterministic test — and the instrumented ingest
-//! path stays within 5% of the uninstrumented one, gated in CI
-//! (`pds_store_pipeline --telemetry-gate`).
+//! `METRICS EVENTS` dumps the recent structured event trace.  Recording is
+//! unconditional (no knob) and **bit-invisible**: estimates, snapshots and
+//! segment bytes are identical whether or not anything scrapes, pinned by a
+//! deterministic test; what it costs is measured by `pds-perf`'s traced
+//! runs, the workspace's one timing harness.
 //!
 //! ### Persistent formats
 //!
@@ -92,9 +92,10 @@
 //! `Histogram::to_binary` (`PDSH` v1), `WaveletSynopsis::to_binary` (`PDSW`
 //! v1), `Segment::to_binary` (`PDSG` v1) and `SynopsisStore::to_binary`
 //! (`PDST` v1).  Truncation, corruption and version skew decode to
-//! `PdsError`s, never panics; the versioned JSON envelopes
-//! (`Histogram::to_json`, `WaveletSynopsis::to_json`, `Segment::to_json`)
-//! stay as the human-readable debug encoding.
+//! `PdsError`s, never panics; the versioned JSON envelopes of the two
+//! synopsis types (`Histogram::to_json`, `WaveletSynopsis::to_json`) stay
+//! as the human-readable debug encoding — store types (`Segment`,
+//! `SynopsisStore`) have the binary encoding only.
 //!
 //! ### Partition-merge cost contract
 //!
@@ -105,22 +106,26 @@
 //! (which is bounded by per-segment synopsis error plus merge-stage error).
 //!
 //! `vendor/` additionally carries minimal offline stand-ins for `rand`,
-//! `serde`, `serde_json`, `criterion` and `proptest` (the build environment
-//! has no crates.io access); they are wired in via path dependencies and keep
-//! the upstream call surfaces, so swapping back to the real crates is a
+//! `serde`, `serde_json` and `proptest` (the build environment has no
+//! crates.io access); they are wired in via path dependencies and keep the
+//! upstream call surfaces, so swapping back to the real crates is a
 //! `Cargo.toml`-only change.
 //!
 //! ## Building, testing, benchmarks
 //!
+//! Every timed claim comes from one harness: `pds-perf` (a package of its
+//! own, declared in `BENCHMARK.json`), end to end over the socket and layer
+//! by layer with `--trace 1`.
+//!
 //! ```text
 //! cargo build --release          # builds the whole workspace
 //! cargo test -q                  # unit + integration + doc tests
-//! cargo bench -p pds-bench       # criterion micro-benchmarks (4 suites)
+//! cargo run --release --offline --manifest-path pds-perf/Cargo.toml -- --smoke   # the benchmark, 1/20 counts
 //! cargo run --release -p pds-bench --bin example1    # paper Example 1
 //! cargo run --release -p pds-bench --bin figure2     # paper Figure 2 tables
 //! cargo run --release --example quickstart           # guided tour
 //! cargo run --release --example pds_server_demo      # TCP front-end under concurrent load
-//! cargo run --release --example pds_store_pipeline -- --telemetry-gate   # 5% overhead gate
+//! cargo run --release --example pds_store_pipeline   # 1M-tuple store pipeline
 //! cargo run -p pds-analyze -- check                  # static invariant lints
 //! cargo run --release -p pds-analyze -- fuzz         # 50k-mutation decoder fuzz
 //! ```

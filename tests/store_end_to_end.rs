@@ -110,10 +110,14 @@ fn store_binary_snapshot_meets_the_compression_bar() {
     store.ingest_batch(records).unwrap();
     store.seal_all().unwrap();
 
-    // A 200-bucket histogram segment: binary at least 5x smaller than JSON.
+    // A 200-bucket histogram segment: binary at least 5x smaller than the
+    // JSON of the histogram it embeds alone.
     let segment = &store.segments(0)[0];
     let binary = segment.to_binary().unwrap();
-    let json = segment.to_json().unwrap();
+    let probsyn::store::SegmentSynopsis::Histogram(histogram) = segment.synopsis() else {
+        panic!("the store was configured with histogram segments");
+    };
+    let json = histogram.to_json().unwrap();
     assert!(
         binary.len() * 5 <= json.len(),
         "binary {} bytes vs JSON {} bytes",
