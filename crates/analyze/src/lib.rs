@@ -18,20 +18,23 @@
 //! ## Rule catalogue
 //!
 //! ### `lock-discipline` (files under `crates/store/src` and
-//! `crates/server/src`)
+//! `crates/server/src`, plus `crates/core/src/telemetry.rs`)
 //!
 //! **What:** no shard `read()`/`write()` guard (including the
 //! `write_shard`/`read_shard` helpers) may live across file I/O, fsync,
-//! serialisation (`to_binary`/`to_blob`), a WAL operation, one of the
-//! store's I/O-wrapping helpers, or another lock acquisition.  The rule
-//! flags every such call in the token window between the guard's binding
-//! and the end of its enclosing block (or `drop(guard)`); guards that are
-//! never bound are tracked to the end of their statement.  In
-//! `crates/server/src` a zero-arg `.lock()` counts as an acquisition too:
-//! the server's connection-queue mutex may never be held across socket
-//! I/O or a store call.  (Store files are exempt from the `.lock()` shape
-//! on purpose — the WAL's internal mutex exists precisely to serialise its
-//! own file I/O.)
+//! serialisation (`to_binary`/`to_blob`), a segment handle's zero-arg
+//! block `load()`, a WAL operation, one of the store's I/O-wrapping
+//! helpers, or another lock acquisition.  The rule flags every such call
+//! in the token window between the guard's binding and the end of its
+//! enclosing block (or `drop(guard)`); guards that are never bound are
+//! tracked to the end of their statement, and a `capture_cut(..)`
+//! argument list (its closure runs under each shard's guard) is a window
+//! of its own.  In `crates/server/src` and `crates/core/src/telemetry.rs`
+//! a zero-arg `.lock()` counts as an acquisition too: neither the
+//! connection-queue mutex nor the registry's render mutex may be held
+//! across I/O, a store call or another acquisition.  (Store files are
+//! exempt from the `.lock()` shape on purpose — the WAL's internal mutex
+//! exists precisely to serialise its own file I/O.)
 //!
 //! **Why:** PR 5 narrowed every durable commit to *"write blob + manifest
 //! first, lock only for the in-memory swap"* — holding a shard lock across
@@ -115,24 +118,6 @@
 //! never interrupt — exactly where an untested torn state hides.
 //!
 //! **Suppress:** `// analyze:allow(crash-coverage) <why>`.
-//!
-//! ### `telemetry-pairing` (all workspace `src` files)
-//!
-//! **What:** every latency observation — a `.observe(` call in non-test
-//! code — must sit in a function with visible start evidence earlier in
-//! its tokens: the identifier `Stopwatch` (a parameter type or
-//! `Stopwatch::start`) or an identifier ending in `start` (a start
-//! helper).  `crates/core/src/telemetry.rs` additionally runs the
-//! mutex-inclusive lock-discipline pass: the registry's render mutex may
-//! never be held across I/O or another acquisition.
-//!
-//! **Why:** a histogram fed a literal, or a stopwatch started in some
-//! unrelated scope, silently records garbage — the series keeps
-//! rendering, dashboards keep graphing, and nothing fails.  Forcing the
-//! start into the same function keeps every recording site reviewable at
-//! a glance.
-//!
-//! **Suppress:** `// analyze:allow(telemetry-pairing) <why>`.
 //!
 //! ### `vfs-discipline` (files under `crates/store/src`)
 //!

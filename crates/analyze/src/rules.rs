@@ -26,8 +26,6 @@ pub const RULE_PANIC: &str = "panic-freedom";
 pub const RULE_FRAMING: &str = "binio-framing";
 /// Rule name: tmp-rename publishes need a registered crash point.
 pub const RULE_CRASH: &str = "crash-coverage";
-/// Rule name: every latency observation pairs with a visible start.
-pub const RULE_TELEMETRY: &str = "telemetry-pairing";
 /// Rule name: store durable I/O must route through `pds_core::vfs`.
 pub const RULE_VFS: &str = "vfs-discipline";
 /// Rule name: allows must be justified and must still suppress something.
@@ -382,6 +380,16 @@ fn lock_discipline(model: &SourceModel, include_mutex: bool, out: &mut Vec<Diagn
                 i += 1;
                 continue;
             }
+            // `capture_cut(parts, f)` runs `f` under each shard's guard.
+            if tokens[i].is_ident("capture_cut")
+                && tokens.get(i + 1).is_some_and(|t| t.is_punct("("))
+            {
+                let (end, line) = (match_forward(tokens, i + 1, "(", ")"), tokens[i].line);
+                let label = "the `capture_cut` shard guard";
+                scan_lock_window(model, i + 2, end, label, line, include_mutex, out);
+                i = end;
+                continue;
+            }
             let Some((acq_end, desc)) = acquisition_at(tokens, i, include_mutex) else {
                 i += 1;
                 continue;
@@ -509,9 +517,11 @@ fn scan_lock_window(
             b = acq_end + 1;
             continue;
         }
-        // Banned callee by name.
+        // Banned callee by name.  A zero-arg `load()` is a segment handle's
+        // first-touch synopsis-block read (an atomic's `load(order)` is not).
+        let block_load = t.is_ident("load") && tokens.get(b + 2).is_some_and(|n| n.is_punct(")"));
         if t.kind == TokKind::Ident
-            && LOCK_BANNED_CALLS.contains(&t.text.as_str())
+            && (LOCK_BANNED_CALLS.contains(&t.text.as_str()) || block_load)
             && tokens.get(b + 1).is_some_and(|n| n.is_punct("("))
             && !(b > 0 && tokens[b - 1].is_ident("fn"))
             && !(b > 0 && tokens[b - 1].is_punct("::"))
@@ -1109,49 +1119,7 @@ fn matrix_labels(model: &SourceModel) -> HashSet<String> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 5: telemetry-pairing
-// ---------------------------------------------------------------------------
-
-/// Every latency observation (`.observe(`) in non-test code must sit in a
-/// function that visibly starts a stopwatch: an ident `Stopwatch` (the
-/// parameter type, or `Stopwatch::start`) or an ident ending in `start`
-/// (a start helper) earlier in the same function.  This is the static half
-/// of the "every histogram recording site pairs a start with an observe"
-/// contract — it keeps a refactor from feeding a histogram a literal or a
-/// stopwatch started in some unrelated scope.
-fn telemetry_pairing(model: &SourceModel, out: &mut Vec<Diagnostic>) {
-    let tokens = &model.tokens;
-    for i in 0..tokens.len() {
-        if model.in_test(i) {
-            continue;
-        }
-        if !(tokens[i].is_punct(".")
-            && tokens.get(i + 1).is_some_and(|t| t.is_ident("observe"))
-            && tokens.get(i + 2).is_some_and(|t| t.is_punct("(")))
-        {
-            continue;
-        }
-        let from = model.enclosing_fn(i).map_or(0, |f| f.kw);
-        let evidence = tokens[from..i].iter().any(|t| {
-            t.kind == TokKind::Ident && (t.text == "Stopwatch" || t.text.ends_with("start"))
-        });
-        if !evidence {
-            out.push(Diagnostic {
-                file: model.display(),
-                line: tokens[i + 1].line,
-                col: tokens[i + 1].col,
-                rule: RULE_TELEMETRY,
-                message: "`.observe(..)` without visible start evidence (no \
-                          `Stopwatch` or `*start` identifier earlier in the \
-                          enclosing function)"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 6: vfs-discipline
+// Rule 5: vfs-discipline
 // ---------------------------------------------------------------------------
 
 /// Path prefixes whose associated calls reach the filesystem directly,
@@ -1213,7 +1181,8 @@ fn path_str(model: &SourceModel) -> String {
 /// * `lock-discipline` — files under `crates/store/src` (shard-lock shapes)
 ///   and `crates/server/src` (additionally treating zero-arg `.lock()` as
 ///   an acquisition: the server may hold no lock across I/O or store
-///   calls);
+///   calls); `crates/core/src/telemetry.rs` gets the mutex-inclusive pass
+///   too (the registry mutex may never be held across I/O or another lock);
 /// * `vfs-discipline` — files under `crates/store/src` (durable I/O must
 ///   route through `pds_core::vfs`, not raw `fs`/`File`/`OpenOptions`);
 /// * `crash-coverage` — files under `crates/store/src`;
@@ -1222,10 +1191,6 @@ fn path_str(model: &SourceModel) -> String {
 ///   of them) and the whole of `crates/server/src` (the serving path:
 ///   hostile bytes must cost an `ERR` line, never the process);
 /// * `binio-framing` — all `src` files;
-/// * `telemetry-pairing` — all `src` files (only telemetry code contains
-///   `.observe(` sites); `crates/core/src/telemetry.rs` additionally gets
-///   the mutex-inclusive lock-discipline pass — the registry mutex may
-///   never be held across I/O or another lock;
 /// * files under `tests/` participate only as the crash-matrix label list.
 pub fn analyze_sources(models: &[SourceModel]) -> Report {
     let mut raw: Vec<Diagnostic> = Vec::new();
@@ -1253,7 +1218,6 @@ pub fn analyze_sources(models: &[SourceModel]) -> Report {
         if PANIC_FILES.iter().any(|f| p.ends_with(f)) {
             panic_freedom(model, "durability-critical code", &mut raw);
         }
-        telemetry_pairing(model, &mut raw);
     }
 
     // binio-framing needs cross-file sight; give it every src model.

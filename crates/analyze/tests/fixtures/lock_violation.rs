@@ -46,3 +46,12 @@ pub fn good_seal_after_guard(store: &Store) {
     };
     store.seal_frozen(task).ok(); // fine: frozen under the guard, sealed after it
 }
+
+pub fn bad_load_in_capture(store: &Store) {
+    store.capture_cut(0..2, |shard| shard.handles()[0].load()); // VIOLATION: block load under the capture guard
+}
+
+pub fn good_load_after_capture(store: &Store) {
+    let (cut, _) = store.capture_cut(0..2, |shard| (shard.handles(), shard.version.load(SeqCst)));
+    cut[0].0[0].load(); // fine: every guard dropped with the capture
+}

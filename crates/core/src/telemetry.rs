@@ -22,15 +22,15 @@
 //!   panic on hostile values;
 //! * **bit-invisible** — telemetry only ever *reads* the clock; no result
 //!   of any query, seal or merge may depend on it.  The workspace pins
-//!   this with on/off bit-identity tests.
+//!   this with `telemetry_invisibility`: identical stores, one scraped
+//!   and one never scraped, must answer bit-for-bit alike.
 //!
 //! ## Timing discipline
 //!
 //! Durations are measured with a [`Stopwatch`]: `Stopwatch::start()` at
 //! the top of the timed window, `histogram.observe(sw)` at the bottom.
-//! The analyzer's `telemetry-pairing` rule enforces the pairing — every
-//! `.observe(..)` call site must see a `start`/`Stopwatch` earlier in its
-//! enclosing function.
+//! The type enforces the pairing: `observe` takes a `Stopwatch`, so a
+//! literal or an unstarted duration cannot reach a histogram.
 //!
 //! ## Exposition format
 //!
@@ -162,9 +162,8 @@ impl LatencyHistogram {
         }
     }
 
-    /// Records the elapsed time of `sw` (consuming it: one stopwatch, one
-    /// observation — the analyzer's `telemetry-pairing` rule checks the
-    /// pairing at every call site).
+    /// Records the elapsed time of `sw` (the parameter type is the pairing:
+    /// only a started [`Stopwatch`] can be observed).
     pub fn observe(&self, sw: Stopwatch) {
         self.observe_nanos(sw.elapsed_nanos());
     }

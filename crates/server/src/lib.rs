@@ -2,10 +2,10 @@
 //!
 //! A concurrent TCP front-end serving approximate-query-processing reads
 //! (and ingest) over a [`SynopsisStore`] — the network surface on top of
-//! the panic-free query path: reads execute against immutable
-//! [`SnapshotView`]s (`Arc`-cloned segment handles plus memtable copies
-//! captured under one brief read lock per shard), so queries never block
-//! ingest and never hold a shard lock across socket I/O.
+//! the panic-free query path: reads are answered by the store in place,
+//! through its one version-fenced capture (brief read guards on only the
+//! shards a window spans, nothing copied), so queries never block ingest
+//! and never hold a shard lock across socket I/O.
 //!
 //! ## Protocol
 //!
@@ -18,7 +18,7 @@
 //! | Command | Reply | Meaning |
 //! |---|---|---|
 //! | `PING` | `OK pong` | liveness probe |
-//! | `EST <item>` | `OK <f64>` | expected frequency of one item, from a fresh snapshot view |
+//! | `EST <item>` | `OK <f64>` | expected frequency of one item |
 //! | `RANGE <lo> <hi>` | `OK <f64>` | expected total frequency over the inclusive range |
 //! | `STATS` | `OK ingested=<u64> live=<u64> seals=<u64> segments=<n> split=<u64>` | point-in-time counters |
 //! | `STATS JSON` | `OK {"version":1,"stats":{…}}` | the same counters as the versioned single-line JSON envelope ([`StoreStats::to_json`]) |
@@ -132,7 +132,6 @@
 //! [`SynopsisStore`]: pds_store::SynopsisStore
 //! [`SynopsisStore::render_metrics`]: pds_store::SynopsisStore::render_metrics
 //! [`StoreStats::to_json`]: pds_store::StoreStats::to_json
-//! [`SnapshotView`]: pds_store::SnapshotView
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

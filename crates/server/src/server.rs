@@ -370,16 +370,10 @@ fn execute_command<R: BufRead, W: Write>(
 ) -> io::Result<bool> {
     match command {
         Command::Ping => writer.write_all(b"OK pong\n")?,
-        Command::Est { item } => {
-            // A fresh snapshot view per query: captured under brief
-            // per-shard read locks, answered with no lock held.
-            let value = store.snapshot_view().estimate(item);
-            write_ok_value(writer, value)?;
-        }
-        Command::Range { lo, hi } => {
-            let value = store.snapshot_view().range_estimate(lo, hi);
-            write_ok_value(writer, value)?;
-        }
+        // Answered in place: the store captures only the spanned shards,
+        // and no lock is held by the time the reply is written.
+        Command::Est { item } => write_ok_value(writer, store.estimate(item))?,
+        Command::Range { lo, hi } => write_ok_value(writer, store.range_estimate(lo, hi))?,
         Command::Stats { json: false } => {
             let stats = store.stats();
             let reply = format!(

@@ -548,11 +548,12 @@ fn metrics_scrape_and_stats_json_cover_both_layers() {
     client.quit();
 }
 
-/// `EST`/`RANGE` are served from snapshot views, and a view reports its
-/// scans into the store's telemetry like the store's own query path does:
+/// `EST`/`RANGE` are answered by the store in place — never through a
+/// snapshot view — and report their scans into the store's telemetry:
 /// every sealed segment of a touched partition is either visited or
 /// pruned, so N requests move `visited + pruned` by exactly N times the
-/// segments in the partitions the window spans.
+/// segments in the partitions the window spans, and the store's
+/// `range_estimate` / `estimate` latency counts by exactly N.
 #[test]
 fn wire_queries_move_the_segment_scan_counters() {
     const REQUESTS: u64 = 25;
@@ -562,38 +563,43 @@ fn wire_queries_move_the_segment_scan_counters() {
     ingest_over(&mut client, &workload(200, 11, 64));
     assert_eq!(client.cmd("SEAL"), "OK sealed");
 
-    let scanned = || -> u64 {
+    let counter = |name: &str| -> u64 {
         let text = store.render_metrics();
-        ["visited", "pruned"]
-            .iter()
-            .map(|kind| {
-                let name = format!("pds_store_segments_{kind}_total ");
-                text.lines()
-                    .find_map(|l| l.strip_prefix(name.as_str()))
-                    .unwrap_or_else(|| panic!("{name}missing from:\n{text}"))
-                    .parse::<u64>()
-                    .expect("counter value")
-            })
-            .sum()
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("{name} missing from:\n{text}"))
+            .parse::<u64>()
+            .expect("counter value")
     };
+    let scanned =
+        || counter("pds_store_segments_visited_total") + counter("pds_store_segments_pruned_total");
+    let queries = |op: &str| counter(&format!("pds_store_query_seconds_count{{op=\"{op}\"}}"));
     let segments_in = |parts: std::ops::RangeInclusive<usize>| -> u64 {
         parts.map(|p| store.segments(p).len() as u64).sum()
     };
     assert!(segments_in(0..=3) >= 8, "need several segments a partition");
+    let views = queries("snapshot_view");
 
     // Items 20..=40 span partitions 1 and 2 (16 items each).
-    let before = scanned();
+    let (before, ranges) = (scanned(), queries("range_estimate"));
     for _ in 0..REQUESTS {
         let _ = ok_value(&client.cmd("RANGE 20 40"));
     }
     assert_eq!(scanned() - before, REQUESTS * segments_in(1..=2));
+    assert_eq!(queries("range_estimate") - ranges, REQUESTS);
 
     // A point query touches one partition; an out-of-domain one, none.
-    let before = scanned();
+    let (before, points) = (scanned(), queries("estimate"));
     for _ in 0..REQUESTS {
         let _ = ok_value(&client.cmd("EST 50"));
         assert_eq!(client.cmd("EST 64"), "OK 0");
     }
     assert_eq!(scanned() - before, REQUESTS * segments_in(3..=3));
+    assert_eq!(queries("estimate") - points, 2 * REQUESTS);
+    assert_eq!(
+        queries("snapshot_view"),
+        views,
+        "no wire read builds a view"
+    );
     client.quit();
 }

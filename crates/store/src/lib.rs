@@ -33,20 +33,25 @@
 //! ## Read path
 //!
 //! The whole read side lives in one module (`query.rs`) and has **no
-//! knobs**.  Three layers make reads skip work without changing a single
-//! bit of any answer (pinned bitwise against a full-walk reference, with
-//! count assertions on the work skipped, by `tests/store_read_path.rs`;
-//! timed by `pds-perf`):
+//! knobs**.  Reads are answered **in place**: every reader that spans
+//! partitions — queries, `merge_global`, `to_binary`, `snapshot_view` —
+//! takes its shards through one version-fenced capture (brief read guards,
+//! retried until no seal install or compaction swap interleaved, else all
+//! guards at once), so each sees one consistent cut, and a query captures
+//! only the partitions its window spans.  Three layers make reads skip
+//! work without changing a single bit of any answer (pinned bitwise
+//! against a full-walk reference, with count assertions on the work
+//! skipped, by `tests/store_read_path.rs`; timed by `pds-perf`):
 //!
 //! * **Segment pruning.**  Every sealed segment carries prune metadata in
 //!   its blob: the item-range fence and a small presence filter over the
 //!   items its synopsis actually supports.  One accumulation kernel serves
-//!   [`SynopsisStore::range_estimate`] and [`SnapshotView`] alike: it
-//!   consults the fence/filter first and skips segments whose metadata
-//!   proves a zero contribution.  Skipping is **bit-invisible** because a
-//!   skipped segment's range sum is exactly `0.0` and the accumulation
-//!   order of the remaining terms is preserved (segments in install order,
-//!   then the live memtable, then each frozen memtable);
+//!   [`SynopsisStore::range_estimate`] and the detached [`SnapshotView`]
+//!   alike: it consults the fence/filter first and skips segments whose
+//!   metadata proves a zero contribution.  Skipping is **bit-invisible**
+//!   because a skipped segment's range sum is exactly `0.0` and the
+//!   accumulation order of the remaining terms is preserved (segments in
+//!   install order, then the live memtable, then each frozen memtable);
 //!   `pds_store_segments_{visited,pruned}_total` count the effect, for
 //!   store and view queries both.
 //! * **Lazy synopsis blocks.**  Blobs are block-structured (see below), and
@@ -158,10 +163,11 @@
 //! * **What a query sees while a seal is in flight.**  The frozen memtable
 //!   stays on its shard (shared with the sealing thread) until the segment
 //!   installs, and the swap is atomic under the write lock: a reader — the
-//!   store's own queries, a [`SnapshotView`], a clone — sees the records
-//!   either as the frozen memtable or as the segment, never neither and
-//!   never both.  Readers and other writers of the same partition wait only
-//!   for inserts and the swap, not for the build or the disk.
+//!   store's own queries or a [`SnapshotView`] — sees the records either
+//!   as the frozen memtable or as the segment, never neither and never
+//!   both, and across partitions it sees one consistent cut (the fenced
+//!   capture above).  Readers and other writers of the same partition wait
+//!   only for inserts and the swap, not for the build or the disk.
 //! * **Determinism.**  Seal *k* of a partition — and the compaction chain
 //!   it triggers — completes before the sealing thread inserts record
 //!   *k+1*, and per-partition seal sequence numbers place segments

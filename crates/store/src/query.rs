@@ -1,6 +1,7 @@
 //! The store's read side: segment handles (and the lazy blob source behind
-//! them), the one range-accumulation kernel, the store's query entry
-//! points, the merged-synopsis cache and the immutable [`SnapshotView`].
+//! them), the one capture protocol, the one range-accumulation kernel, the
+//! store's query entry points, the merged-synopsis cache and the detached
+//! [`SnapshotView`].
 //!
 //! Everything here sits on the **panic-free serving contract** — a network
 //! front-end exposes these paths directly, so hostile bounds, a degenerate
@@ -10,6 +11,14 @@
 //! Write paths live in `store.rs` and are *supposed* to panic on a
 //! poisoned lock rather than keep mutating.
 //!
+//! Reads are answered **in place**.  Every reader that spans partitions
+//! takes its shards through `SynopsisStore::capture_cut` — one
+//! version-fenced pass of brief read guards that yields a consistent cut —
+//! and does everything else (block loads, sums, piece extraction,
+//! encoding) after the guards have dropped.  `estimate` / `range_estimate`
+//! capture only the partitions their window spans; `merge_global`,
+//! `to_binary` and `snapshot_view` capture all of them.
+//!
 //! A range estimate is a pure function of the captured synopses, and f64
 //! addition is order- and grouping-sensitive, so every path that computes
 //! one goes through [`accumulate`]: the store's and the view's
@@ -17,9 +26,10 @@
 //! partition, never in how they sum it.
 
 use std::borrow::Cow;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, OnceLock, RwLockReadGuard};
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
 
 use pds_core::error::{PdsError, Result};
 use pds_core::pool;
@@ -249,17 +259,40 @@ pub(crate) struct MergeCache {
 }
 
 /// The one bound-handling contract shared by every read path: clamps the
-/// inclusive query range `[lo, hi]` to the store domain `[0, n)`.
-/// Returns `None` — the caller answers `0.0` — when the domain is empty,
-/// `lo` lies at or past the domain end, or the range is inverted
-/// (`hi < lo`); otherwise `Some((lo, min(hi, n - 1)))`.  The server pins
-/// the resulting wire behaviour: an out-of-domain `RANGE`/`EST` answers
-/// `OK 0`, never an error.
-fn clamp_range(n: usize, lo: usize, hi: usize) -> Option<(usize, usize)> {
+/// inclusive query range `[lo, hi]` to the store domain `[0, n)` and names
+/// the partitions the clamped window spans.  Returns `None` — the caller
+/// answers `0.0` — when the domain is empty, `lo` lies at or past the
+/// domain end, or the range is inverted (`hi < lo`); otherwise
+/// `Some((lo, min(hi, n - 1), first..last + 1))`.  The server pins the
+/// resulting wire behaviour: an out-of-domain `RANGE`/`EST` answers `OK 0`,
+/// never an error.
+fn clamp_range(
+    partitions: &PartitionSpec,
+    lo: usize,
+    hi: usize,
+) -> Option<(usize, usize, Range<usize>)> {
+    let n = partitions.n();
     if n == 0 || lo >= n || hi < lo {
         return None;
     }
-    Some((lo, hi.min(n - 1)))
+    let hi = hi.min(n - 1);
+    // `lo <= hi < n`, so both lookups are in-domain; degrade to an empty
+    // answer rather than panic if that invariant ever breaks.
+    let (Ok(first), Ok(last)) = (partitions.partition_of(lo), partitions.partition_of(hi)) else {
+        return None;
+    };
+    Some((lo, hi, first..last + 1))
+}
+
+/// Shared read access to one shard, recovering from lock poisoning.
+/// Poison recovery is sound for readers: a writer that panicked
+/// mid-mutation left the shard in whatever state its last completed
+/// assignment produced, and every shard field is a valid value at every
+/// assignment boundary (memtables and segment vectors are replaced
+/// wholesale, never patched in place) — so one crashed writer must not
+/// wedge every query forever.
+pub(crate) fn read_shard(shard: &RwLock<Shard>) -> RwLockReadGuard<'_, Shard> {
+    shard.read().unwrap_or_else(|e| e.into_inner())
 }
 
 /// One partition as [`accumulate`] consumes it: the sealed-segment handles
@@ -271,40 +304,26 @@ struct Captured<'a> {
     frozen: Vec<f64>,
 }
 
-/// **The** range-accumulation kernel: clamps `[lo, hi]` to the domain,
-/// walks the partitions the window spans and, per partition, adds the
-/// unpruned segments in install order, then the live memtable, then each
-/// frozen memtable individually.  The order is load-bearing (f64 addition
-/// is order- and grouping-sensitive): the store and every view answer
-/// bitwise the same value because this is the only place that sums.  A
-/// segment whose fence/filter proves a zero contribution is skipped — it
-/// would have added an exact `±0.0` to an accumulator that never holds
-/// `-0.0`, so pruning is bit-invisible.
+/// **The** range-accumulation kernel: over the partitions a clamped window
+/// `[lo, hi]` spans, in partition order, adds the unpruned segments in
+/// install order, then the live memtable, then each frozen memtable
+/// individually.  The order is load-bearing (f64 addition is order- and
+/// grouping-sensitive): the store and every view answer bitwise the same
+/// value because this is the only place that sums.  A segment whose
+/// fence/filter proves a zero contribution is skipped — it would have added
+/// an exact `±0.0` to an accumulator that never holds `-0.0`, so pruning is
+/// bit-invisible.
 ///
-/// `capture(p, lo, hi)` hands over partition `p` for the clamped window
-/// (`None` reads as an empty partition).  A handle's first touch may read
-/// its synopsis block from disk, so `capture` must have released any shard
-/// guard by the time it returns.  Returns the sum and the segments
-/// `(visited, pruned)`.
+/// A handle's first touch may read its synopsis block from disk, so the
+/// parts must be captured — every shard guard released — before they get
+/// here.  Returns the sum and the segments `(visited, pruned)`.
 fn accumulate<'a>(
-    partitions: &PartitionSpec,
     lo: usize,
     hi: usize,
-    mut capture: impl FnMut(usize, usize, usize) -> Option<Captured<'a>>,
+    parts: impl IntoIterator<Item = Captured<'a>>,
 ) -> (f64, u64, u64) {
-    let Some((lo, hi)) = clamp_range(partitions.n(), lo, hi) else {
-        return (0.0, 0, 0);
-    };
-    // `lo <= hi < n`, so both lookups are in-domain; degrade to an empty
-    // answer rather than panic if that invariant ever breaks.
-    let (Ok(first), Ok(last)) = (partitions.partition_of(lo), partitions.partition_of(hi)) else {
-        return (0.0, 0, 0);
-    };
     let (mut total, mut visited, mut pruned) = (0.0, 0u64, 0u64);
-    for p in first..=last {
-        let Some(part) = capture(p, lo, hi) else {
-            continue;
-        };
+    for part in parts {
         for handle in part.segments.iter() {
             if !handle.may_overlap(lo, hi) {
                 pruned += 1;
@@ -321,29 +340,79 @@ fn accumulate<'a>(
     (total, visited, pruned)
 }
 
+/// The summed piecewise-constant summary of one partition's captured
+/// sealed-segment handles (`None` when it has none).  Runs off-guard: a
+/// reopened segment's first touch reads its synopsis block here, and an
+/// unreadable block fails the merge (which must be complete or an error,
+/// never silently partial).
+fn partition_pieces(handles: &[Arc<SegmentHandle>]) -> Result<Option<Vec<Piece>>> {
+    let mut layers: Vec<Vec<Piece>> = Vec::with_capacity(handles.len());
+    for handle in handles {
+        layers.push(handle.load()?.pieces());
+    }
+    match layers.len() {
+        0 => Ok(None),
+        1 => Ok(layers.pop()),
+        _ => sum_pieces(&layers).map(Some),
+    }
+}
+
 impl SynopsisStore {
-    /// Shared read access to partition `p`'s shard, recovering from lock
-    /// poisoning.  Poison recovery is sound for readers: a writer that
-    /// panicked mid-mutation left the shard in whatever state its last
-    /// completed assignment produced, and every shard field is a valid
-    /// value at every assignment boundary (memtables and segment vectors
-    /// are replaced wholesale, never patched in place) — so one crashed
-    /// writer must not wedge every query forever.  Returns `None` when `p`
-    /// is out of range, which readers treat as an empty partition.
-    fn read_shard(&self, p: usize) -> Option<RwLockReadGuard<'_, Shard>> {
-        self.inner
-            .shards
-            .get(p)
-            .map(|s| s.read().unwrap_or_else(|e| e.into_inner()))
+    /// **The** capture protocol — the only way a reader that spans
+    /// partitions takes its shards: `f` applied to each shard of `parts`
+    /// under a brief read guard (poison-recovering, see [`read_shard`]), in
+    /// partition order, returned with the structural version of the cut.
+    ///
+    /// Consistency: capturing shard by shard can interleave with a
+    /// concurrent structural commit and observe partition `p` from *before*
+    /// it and partition `q` from *after* it — a torn cut.  The capture runs
+    /// an optimistic loop against the store-wide structural version
+    /// counter: read `v0`, capture every shard, re-read `v1` — equal
+    /// versions prove no seal install or compaction swap landed inside the
+    /// capture window, so the parts form one consistent cut at `v0`.  Under
+    /// sustained structural churn the loop falls back (after a bounded
+    /// number of retries) to holding **every** spanned read guard at once,
+    /// acquired in ascending partition order: a cut that is consistent by
+    /// construction and merely delays concurrent installs briefly.  (The
+    /// fallback's version is exact whenever `parts` covers every partition
+    /// — the only case that reads it.)
+    ///
+    /// `f` runs under the guard, so it may clone handle `Arc`s and sum
+    /// memtables, never load a block or touch a file: `pds-analyze` holds
+    /// every `capture_cut(..)` argument list to the lock-discipline rule.
+    pub(crate) fn capture_cut<T>(
+        &self,
+        parts: Range<usize>,
+        mut f: impl FnMut(&Shard) -> T,
+    ) -> (Vec<T>, u64) {
+        const CAPTURE_RETRIES: usize = 8;
+        let shards = self.inner.shards.get(parts).unwrap_or_default();
+        let version = || self.inner.version.load(Ordering::SeqCst);
+        for _ in 0..CAPTURE_RETRIES {
+            let v0 = version();
+            // One brief read guard per shard: a pass on its own can tear,
+            // hence the version check around it.
+            let cut = shards.iter().map(|s| f(&read_shard(s))).collect();
+            if version() == v0 {
+                return (cut, v0);
+            }
+        }
+        // Fallback: with every spanned shard read-locked for the whole
+        // capture no structural commit can interleave with it.
+        let guards: Vec<_> = shards.iter().map(read_shard).collect();
+        let v = version();
+        let cut = guards.iter().map(|g| f(g)).collect();
+        drop(guards);
+        (cut, v)
     }
 
-    /// Point-in-time counters.  Poison-recovering (see `read_shard`): a
+    /// Point-in-time counters.  Poison-recovering (see [`read_shard`]): a
     /// panicked writer cannot take the stats endpoint down with it.
     pub fn stats(&self) -> StoreStats {
         let mut live_records = 0u64;
         let mut segments = 0usize;
         for shard in &self.inner.shards {
-            let shard = shard.read().unwrap_or_else(|e| e.into_inner());
+            let shard = read_shard(shard);
             live_records += shard.memtable.len() as u64;
             // In-flight frozen memtables are still unsealed records.
             live_records += shard
@@ -378,33 +447,13 @@ impl SynopsisStore {
         self.inner.telemetry.render_events()
     }
 
-    /// The summed piecewise-constant summary of partition `p`'s sealed
-    /// segments (`None` when the partition has no segments or `p` is out of
-    /// range).  Poison-recovering (see `read_shard`).  Handles are cloned
-    /// out of the read guard first, so a reopened segment's block read
-    /// never runs under a shard lock; an unreadable block fails the merge
-    /// (which must be complete or an error, never silently partial).
-    fn partition_pieces(&self, p: usize) -> Result<Option<Vec<Piece>>> {
-        let Some(handles) = self.read_shard(p).map(|shard| shard.handles()) else {
-            return Ok(None);
-        };
-        let mut layers: Vec<Vec<Piece>> = Vec::with_capacity(handles.len());
-        for handle in &handles {
-            layers.push(handle.load()?.pieces());
-        }
-        match layers.len() {
-            0 => Ok(None),
-            1 => Ok(layers.pop()),
-            _ => sum_pieces(&layers).map(Some),
-        }
-    }
-
-    /// Recombines the sealed per-partition synopses into one global
-    /// `b`-bucket histogram via the partition-merge DP: the candidate cut
-    /// points are exactly the partition/bucket boundaries, and partitions
-    /// with no sealed data contribute a zero run.  Piece extraction runs one
-    /// pool task per partition.  Live memtable records are **not** included
-    /// — seal first for a full snapshot.
+    /// Recombines the sealed per-partition synopses of one consistent cut
+    /// into one global `b`-bucket histogram via the partition-merge DP: the
+    /// candidate cut points are exactly the partition/bucket boundaries,
+    /// and partitions with no sealed data contribute a zero run.  Piece
+    /// extraction runs off-guard, one pool task per partition.  Live
+    /// memtable records are **not** included — seal first for a full
+    /// snapshot.
     pub fn merge_global(&self, b: usize) -> Result<Histogram> {
         let sw = Stopwatch::start();
         let merged = self.merge_global_core(b);
@@ -419,19 +468,16 @@ impl SynopsisStore {
     /// `StoreInner::version`), so repeated merges over a quiet store are
     /// one mutex lock and a histogram clone — `O(b)`, not a re-run of the
     /// merge DP.  Any seal install or compaction swap bumps the version
-    /// and the next merge recomputes; the cached value is always exactly
-    /// what the recompute would produce (pinned by the
-    /// `store_read_path` suite).
+    /// and the next merge recomputes; the entry is stamped with the version
+    /// of the cut it was computed from, so it is always exactly what a
+    /// recompute at that version produces (pinned by the `store_read_path`
+    /// and `store_concurrency` suites).
     fn merge_global_core(&self, b: usize) -> Result<Histogram> {
         if b == 0 {
             return Err(PdsError::InvalidParameter {
                 message: "merge_global needs a bucket budget of at least 1".into(),
             });
         }
-        // Read the version BEFORE extracting pieces: a structural commit
-        // racing the computation can only make the stamp stale (a needless
-        // later recompute), never a wrong cache hit.
-        let v0 = self.inner.version.load(Ordering::SeqCst);
         {
             let cache = self
                 .inner
@@ -439,16 +485,15 @@ impl SynopsisStore {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());
             if let Some(entry) = cache.as_ref() {
-                if entry.version == v0 && entry.b == b {
+                if entry.version == self.inner.version.load(Ordering::SeqCst) && entry.b == b {
                     self.inner.telemetry.record_merge_cache(true);
                     return Ok(entry.histogram.clone());
                 }
             }
         }
         self.inner.telemetry.record_merge_cache(false);
-        let per_partition = pool::parallel_map((0..self.num_partitions()).collect(), |p| {
-            self.partition_pieces(p)
-        });
+        let (cut, version) = self.capture_cut(0..self.num_partitions(), Shard::handles);
+        let per_partition = pool::parallel_map(cut, |handles| partition_pieces(&handles));
         let mut pieces: Vec<Piece> = Vec::new();
         for (p, extracted) in per_partition.into_iter().enumerate() {
             match extracted? {
@@ -477,7 +522,7 @@ impl SynopsisStore {
             .merge_cache
             .lock()
             .unwrap_or_else(|e| e.into_inner()) = Some(MergeCache {
-            version: v0,
+            version,
             b,
             histogram: merged.clone(),
         });
@@ -486,8 +531,8 @@ impl SynopsisStore {
 
     /// Estimated expected total frequency over the **global** inclusive
     /// item range `[lo, hi]`: sealed segments answer from their synopses,
-    /// live memtables from their exact running expectations.  Read-locks
-    /// only the shards overlapping the range.
+    /// live memtables from their exact running expectations.  Answered in
+    /// place from one consistent cut of only the shards the range spans.
     ///
     /// Total on the panic-free serving contract: a range lying (partly or
     /// wholly) outside the domain is clamped to it, an empty-domain store
@@ -511,87 +556,48 @@ impl SynopsisStore {
     /// The untimed body shared by [`SynopsisStore::range_estimate`] and
     /// [`SynopsisStore::estimate`] (so a point query records one
     /// `op="estimate"` sample, never an extra `op="range_estimate"` one):
-    /// [`accumulate`] over partitions captured under a brief read guard —
-    /// handle `Arc`s cloned out, memtable sums taken in place (copying a
-    /// live memtable per query would dwarf the query).
+    /// [`accumulate`] over one cut of the spanned partitions — handle
+    /// `Arc`s cloned out and memtable sums taken under each guard, nothing
+    /// copied.
     fn range_estimate_core(&self, lo: usize, hi: usize) -> f64 {
-        let (total, visited, pruned) =
-            accumulate(&self.inner.config.partitions, lo, hi, |p, lo, hi| {
-                let shard = self.read_shard(p)?;
-                Some(Captured {
-                    segments: Cow::Owned(shard.handles()),
-                    live: shard.memtable.range_sum(lo, hi),
-                    // A memtable frozen for an in-flight seal still
-                    // carries its mass until the segment installs.
-                    frozen: shard
-                        .frozen
-                        .iter()
-                        .map(|(_, m)| m.range_sum(lo, hi))
-                        .collect(),
-                })
-            });
+        let Some((lo, hi, spanned)) = clamp_range(&self.inner.config.partitions, lo, hi) else {
+            return 0.0;
+        };
+        let (cut, _) = self.capture_cut(spanned, |shard| Captured {
+            segments: Cow::Owned(shard.handles()),
+            live: shard.memtable.range_sum(lo, hi),
+            // A memtable frozen for an in-flight seal still carries its
+            // mass until the segment installs.
+            frozen: shard
+                .frozen
+                .iter()
+                .map(|(_, m)| m.range_sum(lo, hi))
+                .collect(),
+        });
+        let (total, visited, pruned) = accumulate(lo, hi, cut);
         self.inner.telemetry.record_scan(visited, pruned);
         total
     }
 
-    /// An immutable point-in-time view of the whole store for serving
-    /// queries: per partition, the `Arc`-cloned sealed-segment handles, the
-    /// `Arc`-cloned frozen memtables and a copy of the live memtable, all
-    /// captured under one brief read lock per shard (poison-recovering,
-    /// see `read_shard`).  The view answers [`SnapshotView::range_estimate`]
-    /// with **bitwise** the value the store itself would have answered at
-    /// capture time, holds no locks, and is unaffected by later ingest —
-    /// a network front-end can serve from it without ever holding a shard
-    /// lock across I/O.
+    /// A detached, consistent point-in-time copy of the whole store: per
+    /// partition, the `Arc`-cloned sealed-segment handles, the `Arc`-cloned
+    /// frozen memtables and a copy of the live memtable, taken as one cut
+    /// through the store's capture protocol.  The view answers
+    /// [`SnapshotView::range_estimate`] with **bitwise** the value the
+    /// store itself would have answered at capture time, holds no locks,
+    /// and is unaffected by later ingest, seals and compactions.  Queries
+    /// do not need one — the store answers them in place — so a view is
+    /// for callers that want many reads of one frozen state.
     pub fn snapshot_view(&self) -> SnapshotView {
         let sw = Stopwatch::start();
-        let view = self.snapshot_view_core();
+        let (parts, _) = self.capture_cut(0..self.num_partitions(), Self::capture_one);
+        let view = SnapshotView {
+            partitions: self.inner.config.partitions.clone(),
+            telemetry: Arc::clone(&self.inner.telemetry),
+            parts,
+        };
         self.inner.telemetry.record_query(QueryOp::Snapshot, sw);
         view
-    }
-
-    /// The untimed body of [`SynopsisStore::snapshot_view`].
-    ///
-    /// Consistency: capturing shard by shard under per-shard read locks can
-    /// interleave with a concurrent structural commit and observe partition
-    /// `p` from *before* it and partition `q` from *after* it — a torn
-    /// view.  The capture runs an optimistic loop against the store-wide
-    /// structural version counter: read `v0`, capture every shard, re-read
-    /// `v1` — equal versions prove no seal install or compaction swap
-    /// landed inside the capture window, so the captured parts form one
-    /// consistent cut.  Under sustained structural churn the loop falls
-    /// back (after a bounded number of retries) to holding **all** shard
-    /// read locks at once, acquired in ascending partition order: a capture
-    /// that is consistent by construction and merely delays concurrent
-    /// installs briefly.
-    fn snapshot_view_core(&self) -> SnapshotView {
-        const CAPTURE_RETRIES: usize = 8;
-        for _ in 0..CAPTURE_RETRIES {
-            let v0 = self.inner.version.load(Ordering::SeqCst);
-            // One brief read lock per shard: a pass on its own can tear,
-            // hence the version check around it.
-            let parts = self
-                .inner
-                .shards
-                .iter()
-                .map(|s| Self::capture_one(&s.read().unwrap_or_else(|e| e.into_inner())))
-                .collect();
-            let v1 = self.inner.version.load(Ordering::SeqCst);
-            if v0 == v1 {
-                return self.view_from(parts);
-            }
-        }
-        // Fallback: with every shard read-locked for the whole capture no
-        // structural commit can interleave, so the cut is consistent.
-        let guards: Vec<_> = self
-            .inner
-            .shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(|e| e.into_inner()))
-            .collect();
-        let parts = guards.iter().map(|g| Self::capture_one(g)).collect();
-        drop(guards);
-        self.view_from(parts)
     }
 
     /// Captures one shard's contents as a [`ViewPartition`]: `Arc` clones
@@ -602,17 +608,6 @@ impl SynopsisStore {
             segments: shard.handles(),
             memtable: shard.memtable.clone(),
             frozen: shard.frozen.iter().map(|(_, m)| Arc::clone(m)).collect(),
-        }
-    }
-
-    /// Wraps captured parts into a [`SnapshotView`], stamping the store's
-    /// partition spec and sharing its telemetry so the view's scans count
-    /// as the store's.
-    fn view_from(&self, parts: Vec<ViewPartition>) -> SnapshotView {
-        SnapshotView {
-            partitions: self.inner.config.partitions.clone(),
-            telemetry: Arc::clone(&self.inner.telemetry),
-            parts,
         }
     }
 }
@@ -627,13 +622,12 @@ struct ViewPartition {
     frozen: Vec<Arc<Memtable>>,
 }
 
-/// An immutable point-in-time view of a [`SynopsisStore`], captured by
-/// [`SynopsisStore::snapshot_view`]: answers point/range estimates
-/// **bitwise-identically** to the store at capture time, holds no locks,
-/// shares the sealed segments (and frozen memtables) by `Arc` rather than
-/// copying them, and is isolated from every later ingest, seal or
-/// compaction.  The serving surface for read paths that must never block
-/// writers or hold a shard lock across I/O.
+/// A detached, consistent point-in-time copy of a [`SynopsisStore`],
+/// captured by [`SynopsisStore::snapshot_view`]: answers point/range
+/// estimates **bitwise-identically** to the store at capture time, holds no
+/// locks, shares the sealed segments (and frozen memtables) by `Arc` rather
+/// than copying them, and is isolated from every later ingest, seal or
+/// compaction.
 #[derive(Debug, Clone)]
 pub struct SnapshotView {
     partitions: PartitionSpec,
@@ -674,14 +668,19 @@ impl SnapshotView {
     /// [`SynopsisStore::range_estimate`] answered on the store the view was
     /// taken from.  Panic-free on any input.
     pub fn range_estimate(&self, lo: usize, hi: usize) -> f64 {
-        let (total, visited, pruned) = accumulate(&self.partitions, lo, hi, |p, lo, hi| {
-            let part = self.parts.get(p)?;
-            Some(Captured {
+        let Some((lo, hi, spanned)) = clamp_range(&self.partitions, lo, hi) else {
+            return 0.0;
+        };
+        let parts = self.parts.get(spanned).unwrap_or_default();
+        let (total, visited, pruned) = accumulate(
+            lo,
+            hi,
+            parts.iter().map(|part| Captured {
                 segments: Cow::Borrowed(&part.segments),
                 live: part.memtable.range_sum(lo, hi),
                 frozen: part.frozen.iter().map(|m| m.range_sum(lo, hi)).collect(),
-            })
-        });
+            }),
+        );
         self.telemetry.record_scan(visited, pruned);
         total
     }
@@ -761,13 +760,12 @@ mod tests {
         assert_eq!(store.estimate(2), store.estimate(2));
         let stats_after = store.stats();
         assert_eq!(stats_after.live_records, stats_before.live_records);
-        assert!(store.partition_pieces(0).is_ok());
+        assert!(store.merge_global(1).is_ok());
         let view = store.snapshot_view();
         assert_eq!(view.range_estimate(0, 15), before);
         let _ = store.memtable_snapshot(0);
         let _ = store.segments(0);
-        let clone = store.clone();
-        assert_eq!(clone.range_estimate(0, 15), before);
+        assert!(store.to_binary().is_ok());
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! record *k+1* is inserted on that thread: the sealed state is a function
 //! of the per-partition record sequence, whatever the batch cut.  While a
 //! seal is in flight its frozen memtable stays on the shard's `frozen`
-//! list, so queries, snapshot views and clones keep seeing its records;
+//! list, so queries and snapshot views keep seeing its records;
 //! other threads keep ingesting into (and may freeze and seal) the same
 //! partition, and per-partition seal **sequence numbers** place each
 //! segment at its position regardless of which seal installs first — the
@@ -61,7 +61,7 @@ use crate::compaction::CompactionPolicy;
 use crate::crashpoint;
 use crate::manifest::{segment_blob_name, Manifest};
 use crate::memtable::Memtable;
-use crate::query::{MergeCache, SegmentHandle};
+use crate::query::{read_shard, MergeCache, SegmentHandle};
 use crate::segment::{Segment, SegmentSynopsis, SynopsisKind};
 use crate::telemetry::{IoPolicy, StoreTelemetry};
 use crate::wal::{PartitionWal, WalSync};
@@ -257,7 +257,7 @@ impl StoreStats {
 
 /// One sealed segment as held by its shard: the seal sequence and the
 /// shared (possibly lazily-backed) segment handle.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct SealedSegment {
     pub(crate) seq: u64,
     pub(crate) handle: Arc<SegmentHandle>,
@@ -301,6 +301,27 @@ impl Shard {
         let handle = Arc::new(SegmentHandle::eager(segment));
         self.segments.insert(pos, SealedSegment { seq, handle });
     }
+
+    /// **The** compaction reservation, made under the held write lock:
+    /// takes the output sequence, marks the partition compacting and clones
+    /// the `selected` segments' handles (in install order) into the task,
+    /// so the merge itself runs lock-free.
+    fn reserve_compaction(&mut self, partition: usize, selected: &[u64]) -> CompactTask {
+        let inputs = self
+            .segments
+            .iter()
+            .filter(|s| selected.contains(&s.seq))
+            .map(|s| (s.seq, Arc::clone(&s.handle)))
+            .collect();
+        let out_seq = self.next_seq;
+        self.next_seq += 1;
+        self.compacting = true;
+        CompactTask {
+            partition,
+            out_seq,
+            inputs,
+        }
+    }
 }
 
 /// The durable half of a store opened with
@@ -321,7 +342,7 @@ pub(crate) struct StoreInner {
     pub(crate) ingested: AtomicU64,
     pub(crate) seals: AtomicU64,
     pub(crate) split_tuples: AtomicU64,
-    /// Process-local instrumentation (never persisted, never cloned):
+    /// Process-local instrumentation (never persisted):
     /// recording is lock-free, so every path — including shard-guard
     /// windows — may record.  Shared (`Arc`) so the I/O policies inside
     /// the WAL and manifest handles can report into it.
@@ -335,10 +356,10 @@ pub(crate) struct StoreInner {
     /// exactly like an install-time failure would.
     pub(crate) degraded: Arc<OnceLock<String>>,
     /// Counts **structural commits** — seal installs and compaction swaps,
-    /// bumped inside the owning shard's write lock.  Two uses: the
-    /// optimistic snapshot-view capture loop (equal loads before/after the
-    /// per-shard captures prove no structural commit interleaved, so the
-    /// cross-shard view is consistent) and the merged-synopsis cache key
+    /// bumped inside the owning shard's write lock.  Two uses: the fence of
+    /// the one capture protocol, `capture_cut` (equal loads before/after
+    /// the per-shard captures prove no structural commit interleaved, so
+    /// the cross-shard cut is consistent) and the merged-synopsis cache key
     /// (an entry stamped with an older version can never be served).
     /// Record-level ingest does not bump it: live memtable contents are
     /// outside both protocols (the merge covers sealed state only, and a
@@ -347,10 +368,8 @@ pub(crate) struct StoreInner {
     /// The memoised [`SynopsisStore::merge_global`] result: one entry,
     /// keyed on `(version, b)`.  Structural commits invalidate it purely
     /// by bumping `version` — nothing is recomputed until the next merge
-    /// asks.  Stamped with the version read *before* the pieces were
-    /// extracted, so a commit racing the computation can only make the
-    /// stamp stale (a needless later recompute), never serve a wrong
-    /// histogram.
+    /// asks.  Stamped with the version of the cut the pieces came from, so
+    /// it never serves a histogram of any other state.
     pub(crate) merge_cache: Mutex<Option<MergeCache>>,
 }
 
@@ -419,89 +438,6 @@ struct CompactTask {
 #[derive(Debug)]
 pub struct SynopsisStore {
     pub(crate) inner: StoreInner,
-}
-
-/// A deep point-in-time copy: shard contents and counters are snapshotted;
-/// the clone has **no** write-ahead log and **no** durable directory (file
-/// handles and manifests cannot be duplicated meaningfully — two stores
-/// appending to one manifest would corrupt it).  Memtables frozen for a
-/// seal in flight on another thread are folded back into the clone's live
-/// memtable (no records are lost), and the clone's `seals` counter is
-/// **decremented once per folded-back freeze**: in a clone, `seals` counts
-/// exactly the freezes whose segment the clone holds (so with no
-/// compaction, `stats().seals == segments as u64` — pinned by
-/// `clone_seals_counter_excludes_in_flight_freezes`), never a freeze whose
-/// outcome the clone cannot see.  An in-flight compaction's inputs are
-/// still present, so the clone holds the consistent pre-swap state.
-/// Telemetry is process-local and starts fresh (all zeros) in the clone.
-impl Clone for SynopsisStore {
-    fn clone(&self) -> Self {
-        let mut folded_back = 0u64;
-        let shards: Vec<Shard> = self
-            .inner
-            .shards
-            .iter()
-            .map(|s| {
-                let shard = s.read().unwrap_or_else(|e| e.into_inner());
-                // Fold any in-flight frozen memtables back into the cloned
-                // live buffer (newest-first prepending restores arrival
-                // order), so a clone racing a seal still holds every record.
-                let mut memtable = shard.memtable.clone();
-                for (_, frozen) in shard.frozen.iter().rev() {
-                    memtable.absorb_front((**frozen).clone());
-                    folded_back += 1;
-                }
-                Shard {
-                    memtable,
-                    frozen: Vec::new(),
-                    segments: shard.segments.clone(),
-                    next_seq: shard.next_seq,
-                    compacting: false,
-                    wal: None,
-                }
-            })
-            .collect();
-        // The clone shares the original's segment handles, and the
-        // original's compaction may delete a lazily-backed handle's blob
-        // file at any time — force every deferred synopsis into memory now
-        // (off the shard guards), where it is safe from file deletion.  A
-        // block that is already unreadable keeps answering 0.0 through the
-        // shared handle; the original store's degraded latch records the
-        // cause (a clone has no durable substrate of its own to degrade).
-        for shard in &shards {
-            for sealed in &shard.segments {
-                let _ = sealed.handle.load();
-            }
-        }
-        let shards: Vec<RwLock<Shard>> = shards.into_iter().map(RwLock::new).collect();
-        // The folded-back freezes' records are live again in the clone, so
-        // they are no longer seals *of the clone*: a seal is counted when a
-        // memtable freezes, and these memtables just un-froze.  (The counter
-        // is read after the shard locks: each freeze observed in a shard
-        // above has already bumped it, so the subtraction never underflows;
-        // saturate anyway — a degenerate counter must not panic `clone`.)
-        let seals = self
-            .inner
-            .seals
-            .load(Ordering::Relaxed)
-            .saturating_sub(folded_back);
-        SynopsisStore {
-            inner: StoreInner {
-                shards,
-                durable: None,
-                ingested: AtomicU64::new(self.inner.ingested.load(Ordering::Relaxed)),
-                seals: AtomicU64::new(seals),
-                split_tuples: AtomicU64::new(self.inner.split_tuples.load(Ordering::Relaxed)),
-                telemetry: Arc::new(StoreTelemetry::new(self.inner.config.partitions.len())),
-                // A clone has no durable substrate, so nothing can fail
-                // durably: it starts healthy even off a degraded original.
-                degraded: Arc::new(OnceLock::new()),
-                version: AtomicU64::new(0),
-                merge_cache: Mutex::new(None),
-                config: self.inner.config.clone(),
-            },
-        }
-    }
 }
 
 impl SynopsisStore {
@@ -753,11 +689,7 @@ impl SynopsisStore {
     ///
     /// Panics when `p >= num_partitions()` (like slice indexing).
     pub fn memtable_snapshot(&self, p: usize) -> Memtable {
-        self.inner.shards[p]
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .memtable
-            .clone()
+        read_shard(&self.inner.shards[p]).memtable.clone()
     }
 
     /// A point-in-time copy of partition `p`'s sealed segments, oldest
@@ -771,10 +703,10 @@ impl SynopsisStore {
     ///
     /// Panics when `p >= num_partitions()` (like slice indexing).
     pub fn segments(&self, p: usize) -> Vec<Segment> {
-        let handles = self.inner.shards[p]
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .handles();
+        let handles = {
+            let shard = read_shard(&self.inner.shards[p]);
+            shard.handles()
+        };
         handles
             .iter()
             .filter_map(|h| h.load().ok())
@@ -1194,9 +1126,8 @@ impl SynopsisStore {
 
     /// Evaluates the size-tiered policy after an install (or a completed
     /// compaction round): once the partition has no seals in flight and no
-    /// round running, a full tier reserves the next round — the output
-    /// sequence is taken and the input handles cloned here, under the held
-    /// write lock, so the merge itself runs lock-free.
+    /// round running, a full tier reserves the next round
+    /// (`Shard::reserve_compaction`, under the held write lock).
     fn maybe_compaction(
         inner: &StoreInner,
         shard: &mut Shard,
@@ -1212,20 +1143,7 @@ impl SynopsisStore {
             .map(|s| (s.seq, s.handle.records()))
             .collect();
         let selected = policy.select(&sizes)?;
-        let inputs = shard
-            .segments
-            .iter()
-            .filter(|s| selected.contains(&s.seq))
-            .map(|s| (s.seq, Arc::clone(&s.handle)))
-            .collect();
-        let out_seq = shard.next_seq;
-        shard.next_seq += 1;
-        shard.compacting = true;
-        Some(CompactTask {
-            partition,
-            out_seq,
-            inputs,
-        })
+        Some(shard.reserve_compaction(partition, &selected))
     }
 
     /// Returns a frozen memtable's records to the live buffer (and its
@@ -1450,19 +1368,8 @@ impl SynopsisStore {
             if shard.compacting || shard.segments.len() < 2 {
                 return Ok(());
             }
-            let inputs = shard
-                .segments
-                .iter()
-                .map(|s| (s.seq, Arc::clone(&s.handle)))
-                .collect();
-            let out_seq = shard.next_seq;
-            shard.next_seq += 1;
-            shard.compacting = true;
-            CompactTask {
-                partition: p,
-                out_seq,
-                inputs,
-            }
+            let all: Vec<u64> = shard.segments.iter().map(|s| s.seq).collect();
+            shard.reserve_compaction(p, &all)
         };
         self.run_compaction_chain(Some(task))
     }
@@ -1506,15 +1413,11 @@ impl SynopsisStore {
         w.put_varint(self.inner.ingested.load(Ordering::Relaxed));
         w.put_varint(self.inner.seals.load(Ordering::Relaxed));
         w.put_varint(self.inner.split_tuples.load(Ordering::Relaxed));
-        for shard in &self.inner.shards {
-            // Capture the handles under a brief read guard, then encode
-            // off-guard: a reopened segment's first touch reads its
-            // synopsis block from disk, which must never run under a
-            // shard lock.
-            let sealed = {
-                let shard = shard.read().unwrap_or_else(|e| e.into_inner());
-                shard.handles()
-            };
+        // One consistent cut of every partition's handles, encoded
+        // off-guard: a reopened segment's first touch reads its synopsis
+        // block from disk, which must never run under a shard lock.
+        let (cut, _) = self.capture_cut(0..self.num_partitions(), Shard::handles);
+        for sealed in cut {
             w.put_varint(sealed.len() as u64);
             for handle in sealed {
                 let pdsg = handle.load()?.to_binary()?;
@@ -2199,50 +2102,5 @@ pub(crate) mod tests {
         assert!(StoreStats::from_json(&json.replace("\"version\":1", "\"version\":99")).is_err());
         assert!(StoreStats::from_json("not json").is_err());
         assert!(StoreStats::from_json("{\"version\":1}").is_err());
-    }
-
-    #[test]
-    fn clone_seals_counter_excludes_in_flight_freezes() {
-        let store = SynopsisStore::new(config(12, 3, 100)).unwrap();
-        for i in 0..9 {
-            store
-                .ingest(StreamRecord::Basic {
-                    item: i % 12,
-                    prob: 0.5,
-                })
-                .unwrap();
-        }
-        // One completed seal in partition 0, then a freeze in partition 1
-        // held in-flight by hand (exactly the state a clone racing another
-        // thread's seal observes).
-        store.seal_partition(0).unwrap();
-        let task = {
-            let mut shard = store.write_shard(1);
-            store.freeze(1, &mut shard).unwrap().unwrap()
-        };
-        assert_eq!(store.stats().seals, 2, "the in-flight freeze is counted");
-        let cloned = store.clone();
-        let stats = cloned.stats();
-        // The folded-back freeze is no longer a seal of the clone: every
-        // counted seal has its installed segment present.
-        assert_eq!(stats.seals, 1);
-        assert_eq!(stats.segments, 1);
-        assert_eq!(stats.seals, stats.segments as u64);
-        // No records were lost: the frozen memtable's mass is live again.
-        assert_eq!(stats.ingested_records, 9);
-        // Partition 0 sealed its 4 records (items 0..4); the other 5 are
-        // live again after the fold-back.
-        assert_eq!(stats.live_records, 5);
-        for lo in 0..12 {
-            assert_eq!(
-                cloned.range_estimate(lo, 11).to_bits(),
-                store.range_estimate(lo, 11).to_bits()
-            );
-        }
-        // Settle the original: the hand-held freeze goes back.
-        let mut shard = store.write_shard(1);
-        SynopsisStore::unfreeze(&store.inner, &mut shard, task);
-        drop(shard);
-        assert_eq!(store.stats().seals, 1);
     }
 }

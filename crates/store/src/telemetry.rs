@@ -109,8 +109,9 @@ const QUERY_OPS: [(QueryOp, &str); 4] = [
 const EVENT_CAPACITY: usize = 256;
 
 /// All store-side metric series plus the event ring (see the module
-/// docs).  Constructed fresh per store (clones restart at zero — the
-/// counters describe a process's activity, not the data).
+/// docs).  Constructed fresh per store (a reopened or decoded store
+/// restarts at zero — the counters describe a process's activity, not the
+/// data).
 #[derive(Debug)]
 pub(crate) struct StoreTelemetry {
     registry: Registry,
@@ -310,8 +311,9 @@ impl StoreTelemetry {
     /// One range query's sealed-segment scan: `visited` segments had
     /// their synopsis consulted, `pruned` were skipped by fence/filter
     /// metadata — together, every segment of the partitions the window
-    /// spans.  The store's own queries and every [`SnapshotView`] taken
-    /// from it (so `EST`/`RANGE` over the wire) report here.
+    /// spans.  The store's own queries (so `EST`/`RANGE` over the wire,
+    /// answered in place) and every [`SnapshotView`] taken from it report
+    /// here.
     ///
     /// [`SnapshotView`]: crate::SnapshotView
     pub(crate) fn record_scan(&self, visited: u64, pruned: u64) {

@@ -431,12 +431,17 @@ fn partition_fingerprint(
 /// single consistent cut can observe is a *prefix*: seeing partition `j`
 /// compacted while some `i < j` is still uncompacted means the view mixed
 /// two points in time.  Across successive views the observation is also
-/// monotone — commits never revert.  Runs at a 4-wide pool (the
-/// `PDS_THREADS=4` shape of the rest of this suite).
+/// monotone — commits never revert.  The store's own fenced reads are
+/// sampled in the same race: every `range_estimate` over the whole domain
+/// and every `merge_global` must bit-equal the same read on one of the
+/// `PARTS + 1` prefix states (partitions `0..k` compacted), rebuilt on
+/// fresh stores.  Runs at a 4-wide pool (the `PDS_THREADS=4` shape of the
+/// rest of this suite).
 #[test]
 fn snapshot_views_race_compaction_commits_consistently() {
     pool::set_num_threads(Some(4));
     const PARTS: usize = 4;
+    const MERGE_B: usize = 4;
     let spec = PartitionSpec::uniform(N, PARTS).unwrap();
     let cfg = StoreConfig::new(
         spec.clone(),
@@ -470,9 +475,10 @@ fn snapshot_views_race_compaction_commits_consistently() {
     // Race: the compactor commits partition 0, then 1, 2, 3 (one merge
     // each — `compact_partition` folds every sealed segment into one, so
     // the per-partition chain has exactly two states).  The main thread
-    // records what each racing view saw; verdicts are checked once the
-    // post-compaction references exist.
-    let observed: Vec<Vec<Vec<u64>>> = std::thread::scope(|scope| {
+    // records what each racing view, store query and merge saw; verdicts
+    // are checked once the post-compaction references exist.
+    type Sample = (Vec<Vec<u64>>, u64, Vec<u8>);
+    let observed: Vec<Sample> = std::thread::scope(|scope| {
         let compactor = scope.spawn(|| {
             for p in 0..PARTS {
                 store.compact_partition(p).unwrap();
@@ -481,11 +487,13 @@ fn snapshot_views_race_compaction_commits_consistently() {
         let mut seen = Vec::new();
         while !compactor.is_finished() || seen.is_empty() {
             let view = store.snapshot_view();
-            seen.push(
+            seen.push((
                 (0..PARTS)
                     .map(|p| partition_fingerprint(&view, &spec, p))
-                    .collect::<Vec<_>>(),
-            );
+                    .collect(),
+                store.range_estimate(0, N - 1).to_bits(),
+                store.merge_global(MERGE_B).unwrap().to_binary().unwrap(),
+            ));
         }
         compactor.join().unwrap();
         seen
@@ -500,8 +508,38 @@ fn snapshot_views_race_compaction_commits_consistently() {
     // Every racing view: each partition bit-equals exactly pre or post,
     // the post-compaction partitions form a prefix within a view, and the
     // observation never regresses across successive views.
+    // The prefix states of the commit chain, sealed and compacted on fresh
+    // stores over the same stream (seal and merge are deterministic at
+    // every pool width).
+    let prefixes: Vec<SynopsisStore> = (0..=PARTS)
+        .map(|k| {
+            let fresh = SynopsisStore::new(cfg.clone()).unwrap();
+            fresh.ingest_batch(records.iter().cloned()).unwrap();
+            fresh.seal_all().unwrap();
+            for p in 0..k {
+                fresh.compact_partition(p).unwrap();
+            }
+            fresh
+        })
+        .collect();
+    let prefix_reads: Vec<(u64, Vec<u8>)> = prefixes
+        .iter()
+        .map(|s| {
+            let merged = s.merge_global(MERGE_B).unwrap().to_binary().unwrap();
+            (s.range_estimate(0, N - 1).to_bits(), merged)
+        })
+        .collect();
+
     let mut frontier = [false; PARTS]; // partitions already seen post
-    for (v, fingerprints) in observed.iter().enumerate() {
+    for (v, (fingerprints, range_bits, merged)) in observed.iter().enumerate() {
+        assert!(
+            prefix_reads.iter().any(|(bits, _)| bits == range_bits),
+            "racing store query {v}: range_estimate matches no prefix state — torn cut"
+        );
+        assert!(
+            prefix_reads.iter().any(|(_, bytes)| bytes == merged),
+            "racing merge {v}: merge_global matches no prefix state — torn cut"
+        );
         let mut saw_pre = false;
         for (p, got) in fingerprints.iter().enumerate() {
             let is_pre = *got == pre[p];
@@ -535,14 +573,9 @@ fn snapshot_views_race_compaction_commits_consistently() {
         }
     }
 
-    // Fully quiesced rebuild: a fresh store over the same stream, sealed
-    // and compacted the same way, bit-equals the raced store partition by
-    // partition (seal and merge are deterministic at every pool width).
-    let rebuilt = SynopsisStore::new(cfg).unwrap();
-    rebuilt.ingest_batch(records).unwrap();
-    rebuilt.seal_all().unwrap();
-    rebuilt.compact_all().unwrap();
-    let rebuilt_view = rebuilt.snapshot_view();
+    // Fully quiesced rebuild: the last prefix state (every partition
+    // compacted) bit-equals the raced store partition by partition.
+    let rebuilt_view = prefixes[PARTS].snapshot_view();
     for (p, expected) in post.iter().enumerate() {
         assert_eq!(
             &partition_fingerprint(&rebuilt_view, &spec, p),

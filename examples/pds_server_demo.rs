@@ -1,9 +1,9 @@
 //! The TCP front-end under concurrent load: stream 100k+ uncertain tuples
 //! through `pds-server`'s `INGEST` command while query clients hammer
-//! `RANGE`/`EST` against snapshot views, then prove the served store is
-//! **bitwise indistinguishable** from a `SynopsisStore` driven directly by
-//! the same batches — float replies use Rust's shortest round-trip
-//! formatting, so even the text protocol loses no bits.  A final phase
+//! `RANGE`/`EST` (answered by the store in place), then prove the served
+//! store is **bitwise indistinguishable** from a `SynopsisStore` driven
+//! directly by the same batches — float replies use Rust's shortest
+//! round-trip formatting, so even the text protocol loses no bits.  A final phase
 //! arms the deterministic I/O fault injector against a durable store and
 //! proves the wire surface of degraded read-only mode: `ERR DEGRADED`
 //! write refusals, the `HEALTH` cause, the METRICS gauge, and bit-stable
@@ -180,7 +180,7 @@ fn main() -> Result<()> {
         TUPLES as f64 / ingest_time.as_secs_f64(),
         batches.len(),
     );
-    println!("answered {served_queries} snapshot-view queries concurrently with ingest\n");
+    println!("answered {served_queries} in-place queries concurrently with ingest\n");
 
     // Phase 2: a mirror store fed the identical batches directly — same
     // text, same parser, same chunking.

@@ -19,7 +19,8 @@
 //!   histograms, and the versioned compact binary format;
 //! * [`server`](pds_server) — a concurrent TCP front-end serving the store's
 //!   panic-free query path over a line-oriented text protocol, with reads
-//!   executing against immutable snapshot views and a `METRICS` verb
+//!   answered by the store in place (one consistent cut of only the
+//!   partitions a window spans) and a `METRICS` verb
 //!   exposing both layers' telemetry as a Prometheus-style scrape.
 //!
 //! ## Quickstart
@@ -54,9 +55,9 @@
 //! | `crates/histogram`| `pds-histogram` | bucket-cost oracles, DP (serial + level-parallel), `(1+ε)` approximation, partition-merge DP |
 //! | `crates/wavelet`  | `pds-wavelet`   | Haar transform, SSE and non-SSE thresholding |
 //! | `crates/store`    | `pds-store`     | concurrent sharded ingest memtables, off-lock sealing, per-partition WALs, compaction, store persistence, pipeline telemetry (counters/histograms/events, always on) |
-//! | `crates/server`   | `pds-server`    | snapshot-isolated TCP query/ingest front-end (`EST`/`RANGE`/`STATS [JSON]`/`MERGE`/`INGEST`/`METRICS`/admin verbs), worker pool over `pds_core::pool`, per-verb request telemetry |
+//! | `crates/server`   | `pds-server`    | TCP query/ingest front-end over the store's in-place, consistent-cut reads (`EST`/`RANGE`/`STATS [JSON]`/`MERGE`/`INGEST`/`METRICS`/admin verbs), worker pool over `pds_core::pool`, per-verb request telemetry |
 //! | `crates/bench`    | `pds-bench`     | workloads, report tables, figure binaries  |
-//! | `crates/analyze`  | `pds-analyze`   | workspace invariant checker (lock discipline, panic-freedom, binio framing, crash-point coverage, telemetry start/observe pairing) + deterministic decoder/recovery fuzzer |
+//! | `crates/analyze`  | `pds-analyze`   | workspace invariant checker (lock discipline, panic-freedom, binio framing, crash-point coverage, vfs routing) + deterministic decoder/recovery fuzzer |
 //!
 //! ### Multi-core execution
 //!
