@@ -7,7 +7,7 @@
 //!
 //! 1. builds **valid seed artefacts** through the real encoders (histogram
 //!    and wavelet binaries, segment binaries and CRC blobs, full store
-//!    snapshots, a real `MANIFEST`, framed WAL lines);
+//!    snapshots, a real `MANIFEST`, WAL frames);
 //! 2. applies structure-aware mutations — bit flips, truncations,
 //!    extensions, magic/version/length skews, CRC-region flips, splices of
 //!    two valid inputs, zeroed/duplicated windows, pure garbage;
@@ -43,7 +43,7 @@ use pds_histogram::{build_histogram, Histogram};
 use pds_server::proto;
 use pds_store::blob;
 use pds_store::manifest::Manifest;
-use pds_store::wal::{self, FrameOutcome};
+use pds_store::wal;
 use pds_store::{PartitionSpec, Segment, StoreConfig, SynopsisKind, SynopsisStore, WalSync};
 use pds_wavelet::{build_sse_wavelet, WaveletSynopsis};
 
@@ -69,7 +69,7 @@ pub enum Kind {
     Store,
     /// `Manifest::parse_bytes` (PDSM envelope + per-record CRCs).
     ManifestBytes,
-    /// `wal::parse_frame_line` (`r <len> <crc32> <payload>` text frame).
+    /// `wal::decode_log` on one checksummed binary WAL frame.
     WalFrame,
     /// `pds_server::proto::parse_command_bytes` (one network command line).
     Cmd,
@@ -172,8 +172,7 @@ pub struct FuzzFailure {
 pub struct FuzzOutcome {
     /// Mutations executed.
     pub mutations: u64,
-    /// Mutants the decoder rejected with a `PdsError` (or non-`Record`
-    /// frame outcome / invalid UTF-8 for WAL frames).
+    /// Mutants the decoder rejected with a `PdsError`.
     pub rejected: u64,
     /// Mutants that still decoded as valid (e.g. payload-only skews on
     /// formats without whole-input checksums).
@@ -190,50 +189,16 @@ pub struct FuzzOutcome {
     pub elapsed: Duration,
 }
 
-/// A valid encoder output plus the byte range a strict CRC-flip mutation
-/// may target (for WAL frames only the payload field qualifies: flipping
-/// bit 5 of a lowercase hex digit in the *stored* checksum field yields the
-/// same number in uppercase, which is not corruption).
+/// A valid encoder output for one decoder target.  For the checksummed
+/// targets every byte is in the strict range a CRC-flip mutation may hit.
 struct SeedInput {
     kind: Kind,
     bytes: Vec<u8>,
-    strict_range: Option<(usize, usize)>,
 }
 
 impl SeedInput {
-    fn plain(kind: Kind, bytes: Vec<u8>) -> SeedInput {
-        let strict_range = kind.crc_protected().then_some((0, bytes.len()));
-        SeedInput {
-            kind,
-            bytes,
-            strict_range,
-        }
-    }
-
-    /// A framed WAL line; the strict range is the payload field.
-    fn frame(line: String) -> SeedInput {
-        let bytes = line.into_bytes();
-        // "r <len> <crc32> <payload>\n": payload starts after the third
-        // space and the trailing newline is excluded.
-        let mut spaces = 0usize;
-        let mut payload_start = None;
-        for (i, b) in bytes.iter().enumerate() {
-            if *b == b' ' {
-                spaces += 1;
-                if spaces == 3 {
-                    payload_start = Some(i + 1);
-                    break;
-                }
-            }
-        }
-        let strict_range = payload_start
-            .filter(|&s| s + 1 < bytes.len())
-            .map(|s| (s, bytes.len() - 1));
-        SeedInput {
-            kind: Kind::WalFrame,
-            bytes,
-            strict_range,
-        }
+    fn new(kind: Kind, bytes: Vec<u8>) -> SeedInput {
+        SeedInput { kind, bytes }
     }
 }
 
@@ -365,13 +330,10 @@ fn seed_inputs(seed: u64) -> pds_core::error::Result<Vec<SeedInput>> {
     let workloads = test_workloads(32, 11);
     for (i, workload) in workloads.iter().take(3).enumerate() {
         let hist = build_histogram(&workload.relation, ErrorMetric::Sse, 4 + i)?;
-        seeds.push(SeedInput::plain(Kind::Hist, hist.to_binary()?));
-        seeds.push(SeedInput::plain(
-            Kind::HistCompact,
-            hist.to_binary_compact()?,
-        ));
+        seeds.push(SeedInput::new(Kind::Hist, hist.to_binary()?));
+        seeds.push(SeedInput::new(Kind::HistCompact, hist.to_binary_compact()?));
         let wav = build_sse_wavelet(&workload.relation, 8)?;
-        seeds.push(SeedInput::plain(Kind::Wav, wav.to_binary()?));
+        seeds.push(SeedInput::new(Kind::Wav, wav.to_binary()?));
         let seg = Segment::build(
             0,
             40 + i as u64,
@@ -379,19 +341,19 @@ fn seed_inputs(seed: u64) -> pds_core::error::Result<Vec<SeedInput>> {
             SynopsisKind::Histogram(ErrorMetric::Sse),
             6,
         )?;
-        seeds.push(SeedInput::plain(Kind::Seg, seg.to_binary()?));
-        seeds.push(SeedInput::plain(Kind::Blob, seg.to_blob()?));
-        seeds.push(SeedInput::plain(Kind::BlobMeta, seg.to_blob()?));
+        seeds.push(SeedInput::new(Kind::Seg, seg.to_binary()?));
+        seeds.push(SeedInput::new(Kind::Blob, seg.to_blob()?));
+        seeds.push(SeedInput::new(Kind::BlobMeta, seg.to_blob()?));
     }
     let wavelet_seg = Segment::build(0, 9, &workloads[0].relation, SynopsisKind::Wavelet, 8)?;
-    seeds.push(SeedInput::plain(Kind::Seg, wavelet_seg.to_binary()?));
-    seeds.push(SeedInput::plain(Kind::Blob, wavelet_seg.to_blob()?));
-    seeds.push(SeedInput::plain(Kind::BlobMeta, wavelet_seg.to_blob()?));
+    seeds.push(SeedInput::new(Kind::Seg, wavelet_seg.to_binary()?));
+    seeds.push(SeedInput::new(Kind::Blob, wavelet_seg.to_blob()?));
+    seeds.push(SeedInput::new(Kind::BlobMeta, wavelet_seg.to_blob()?));
 
     let store = SynopsisStore::new(store_config()?)?;
     store.ingest_batch(recovery_workload())?;
     store.seal_all()?;
-    seeds.push(SeedInput::plain(Kind::Store, store.to_binary()?));
+    seeds.push(SeedInput::new(Kind::Store, store.to_binary()?));
 
     // A real MANIFEST with installs and a compaction-style replace, built
     // through the manifest's own API in a scratch directory.
@@ -409,7 +371,7 @@ fn seed_inputs(seed: u64) -> pds_core::error::Result<Vec<SeedInput>> {
         }
     })?;
     let _ = fs::remove_dir_all(&dir);
-    seeds.push(SeedInput::plain(Kind::ManifestBytes, bytes));
+    seeds.push(SeedInput::new(Kind::ManifestBytes, bytes));
 
     for record in [
         StreamRecord::Basic {
@@ -422,7 +384,7 @@ fn seed_inputs(seed: u64) -> pds_core::error::Result<Vec<SeedInput>> {
             entries: vec![(2.0, 0.5), (5.0, 0.25)],
         },
     ] {
-        seeds.push(SeedInput::frame(wal::frame_record(&record)?));
+        seeds.push(SeedInput::new(Kind::WalFrame, wal::frame_record(&record)?));
     }
 
     // Network command lines: one valid seed per verb so mutations explore
@@ -438,7 +400,7 @@ fn seed_inputs(seed: u64) -> pds_core::error::Result<Vec<SeedInput>> {
         b"SNAPSHOT\n",
         b"QUIT\n",
     ] {
-        seeds.push(SeedInput::plain(Kind::Cmd, line.to_vec()));
+        seeds.push(SeedInput::new(Kind::Cmd, line.to_vec()));
     }
     Ok(seeds)
 }
@@ -474,7 +436,7 @@ fn scratch_dir(tag: &str, seed: u64) -> PathBuf {
 
 /// Applies one structure-aware mutation.  Returns the mutation name, the
 /// mutant, and whether the mutation provably corrupted CRC-protected bytes
-/// (same length, at least one bit flipped inside the seed's strict range).
+/// (same length, exactly one bit flipped in a checksummed seed).
 fn mutate(rng: &mut StdRng, seed: &SeedInput, other: &[u8]) -> (&'static str, Vec<u8>, bool) {
     let bytes = &seed.bytes;
     // Bit flips get double weight: they drive the strict CRC invariant.
@@ -484,18 +446,19 @@ fn mutate(rng: &mut StdRng, seed: &SeedInput, other: &[u8]) -> (&'static str, Ve
     };
     match op {
         0 => {
-            let (name, range) = match seed.strict_range {
-                Some(range) => ("bit-flip(crc-protected)", range),
-                None => ("bit-flip", (0, bytes.len())),
-            };
-            let (lo, hi) = range;
-            if lo >= hi {
+            if bytes.is_empty() {
                 return ("garbage", garbage(rng), false);
             }
+            let strict = seed.kind.crc_protected();
+            let name = if strict {
+                "bit-flip(crc-protected)"
+            } else {
+                "bit-flip"
+            };
             let mut out = bytes.clone();
-            let pos = rng.gen_range(lo..hi);
+            let pos = rng.gen_range(0..bytes.len());
             out[pos] ^= 1 << rng.gen_range(0..8u32);
-            (name, out, seed.strict_range.is_some())
+            (name, out, strict)
         }
         1 => {
             let cut = rng.gen_range(0..bytes.len().max(1));
@@ -659,14 +622,7 @@ fn decode_once(kind: Kind, bytes: &[u8]) -> bool {
             Err(_) => false,
         },
         Kind::ManifestBytes => Manifest::parse_bytes(bytes).is_ok(),
-        Kind::WalFrame => match std::str::from_utf8(bytes) {
-            Ok(text) => matches!(
-                wal::parse_frame_line(text.trim_end_matches(['\r', '\n'])),
-                FrameOutcome::Record(_)
-            ),
-            // A byte mutation that breaks UTF-8 is rejected before framing.
-            Err(_) => false,
-        },
+        Kind::WalFrame => wal::decode_log(bytes).is_ok(),
         // The server's command parser is total: arbitrary bytes must parse
         // or reject, never panic — the `ERR`-line-and-survive contract.
         Kind::Cmd => proto::parse_command_bytes(bytes).is_ok(),
@@ -769,11 +725,7 @@ fn fuzz_recovery(rng: &mut StdRng, cases: u64, seed: u64, outcome: &mut FuzzOutc
             let _ = fs::remove_file(&victim);
         } else {
             let original = fs::read(&victim).unwrap_or_default();
-            let seed_input = SeedInput {
-                kind: Kind::Store,
-                bytes: original,
-                strict_range: None,
-            };
+            let seed_input = SeedInput::new(Kind::Store, original);
             let (mutation, mutant, _) = mutate(rng, &seed_input, &[]);
             describe = format!("mutation={mutation} on {}", victim.display());
             let _ = fs::write(&victim, &mutant);
@@ -967,25 +919,13 @@ mod tests {
     }
 
     #[test]
-    fn walframe_strict_range_covers_payload_only() {
-        let line = wal::frame_record(&StreamRecord::Basic { item: 1, prob: 0.5 }).unwrap();
-        let seed = SeedInput::frame(line.clone());
-        let (lo, hi) = seed.strict_range.expect("frame has a payload");
-        // Everything before the strict range is the "r <len> <crc> " header.
-        let header = &line.as_bytes()[..lo];
-        assert_eq!(header.iter().filter(|&&b| b == b' ').count(), 3);
-        assert_eq!(hi, line.len() - 1, "trailing newline excluded");
-    }
-
-    #[test]
     fn single_bit_flips_in_crc_protected_bytes_reject() {
         // The strict invariant, checked exhaustively on small seeds rather
         // than statistically: every single-bit flip of a blob, manifest, or
-        // WAL-frame payload must be rejected.
+        // WAL frame (its length header included) must be rejected.
         let seeds = seed_inputs(2).unwrap();
         for seed in seeds.iter().filter(|s| s.kind.crc_protected()) {
-            let (lo, hi) = seed.strict_range.unwrap();
-            for pos in lo..hi {
+            for pos in 0..seed.bytes.len() {
                 for bit in 0..8 {
                     let mut mutant = seed.bytes.clone();
                     mutant[pos] ^= 1 << bit;

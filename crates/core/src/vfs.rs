@@ -12,7 +12,7 @@
 //!
 //! With no fault armed, every function is a direct passthrough: the only
 //! overhead is one inlined relaxed atomic load per call (the injector's
-//! folded state word), so the production binary and the tested binary are
+//! armed flag), so the production binary and the tested binary are
 //! the same binary.
 //!
 //! ## Fault injection
@@ -23,11 +23,9 @@
 //! (one failing op simulates a *transient* fault that a retry survives;
 //! `u64::MAX` simulates a *persistently* failing disk), and an optional
 //! path scope so concurrent tests in one process never see each other's
-//! faults.  Arming happens either programmatically
-//! ([`fault::arm`], which also serialises fault-armed tests through a
-//! process-wide lock) or through the environment
-//! (`PDS_FAULT_SITE` / `PDS_FAULT_CLASS` / `PDS_FAULT_AT` /
-//! `PDS_FAULT_COUNT`), mirroring the crash-point arming protocol.
+//! faults.  Arming is programmatic only: [`fault::arm`] installs the fault
+//! for the lifetime of its guard and serialises fault-armed tests through a
+//! process-wide lock.
 //!
 //! A short write is injected *honestly*: a real prefix of the payload
 //! reaches the destination before the error surfaces, so the torn-frame
@@ -220,12 +218,12 @@ pub mod fault {
     //! The deterministic fault injector behind the [`vfs`](super)
     //! passthrough: at most one armed fault per process, matched by site
     //! label (and optional path scope), triggered on the nth matching
-    //! operation or by a seeded schedule.
+    //! operation.
 
     use std::io;
     use std::path::{Path, PathBuf};
-    use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
-    use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+    use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+    use std::sync::{Arc, Mutex, MutexGuard};
 
     /// The injectable error classes — the disk-misbehaviour matrix.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,7 +253,8 @@ pub mod fault {
             ErrorClass::RenameFail,
         ];
 
-        /// The stable text name (used by `PDS_FAULT_CLASS` and telemetry).
+        /// The stable text name (used in injected error messages and test
+        /// labels).
         pub fn name(self) -> &'static str {
             match self {
                 ErrorClass::Eio => "eio",
@@ -264,11 +263,6 @@ pub mod fault {
                 ErrorClass::FsyncFail => "fsync-fail",
                 ErrorClass::RenameFail => "rename-fail",
             }
-        }
-
-        /// Parses a class name (as produced by [`ErrorClass::name`]).
-        pub fn parse(text: &str) -> Option<ErrorClass> {
-            ErrorClass::ALL.into_iter().find(|c| c.name() == text)
         }
     }
 
@@ -289,10 +283,6 @@ pub mod fault {
         /// matches every path.  In-process tests must scope their fault
         /// to their own temp directory.
         pub scope: Option<PathBuf>,
-        /// Seeded-schedule mode: when `Some((seed, one_in))`, each
-        /// matching operation fails with deterministic pseudo-probability
-        /// `1/one_in` (the nth-op trigger is ignored).
-        pub schedule: Option<(u64, u64)>,
     }
 
     impl FaultSpec {
@@ -305,7 +295,6 @@ pub mod fault {
                 at: 1,
                 count: u64::MAX,
                 scope: None,
-                schedule: None,
             }
         }
 
@@ -319,7 +308,6 @@ pub mod fault {
                 at,
                 count,
                 scope: None,
-                schedule: None,
             }
         }
 
@@ -336,22 +324,13 @@ pub mod fault {
         countdown: AtomicI64,
         /// Failing operations remaining once triggered.
         remaining: AtomicI64,
-        /// xorshift state for the seeded-schedule mode.
-        prng: AtomicU64,
     }
 
-    /// Injector state, folded into **one** atomic so the disabled fast
-    /// path — taken by every durable-path operation of every production
-    /// store — is a single relaxed load and a predicted branch.  A
-    /// separate env-init latch plus an enabled flag measurably taxed
-    /// buffered WAL appends (~5 ns each, measured in PR 9).
-    static STATE: AtomicU8 = AtomicU8::new(UNINIT);
-    /// [`STATE`]: the environment has not been consulted yet.
-    const UNINIT: u8 = 0;
-    /// [`STATE`]: no fault armed; every operation passes through.
-    const CLEAR: u8 = 1;
-    /// [`STATE`]: a fault is armed; operations consult [`ACTIVE`].
-    const ARMED: u8 = 2;
+    /// Whether a fault is armed: the disabled fast path — taken by every
+    /// durable-path operation of every production store — is this one
+    /// relaxed load and a predicted branch.
+    static ARMED: AtomicBool = AtomicBool::new(false);
+    /// The armed fault, consulted only while [`ARMED`] is set.
     static ACTIVE: Mutex<Option<Arc<Armed>>> = Mutex::new(None);
     static INJECTED: AtomicU64 = AtomicU64::new(0);
     /// Serialises fault-armed tests within one process: only one fault
@@ -363,97 +342,13 @@ pub mod fault {
         i64::try_from(n).unwrap_or(i64::MAX)
     }
 
-    fn install(spec: FaultSpec) {
-        let armed = Armed {
-            countdown: AtomicI64::new(clamp_i64(spec.at.max(1))),
-            remaining: AtomicI64::new(clamp_i64(spec.count)),
-            prng: AtomicU64::new(spec.schedule.map(|(seed, _)| seed | 1).unwrap_or(1)),
-            spec,
-        };
-        let mut active = ACTIVE.lock().unwrap_or_else(|e| e.into_inner());
-        *active = Some(Arc::new(armed));
-        drop(active);
-        STATE.store(ARMED, Ordering::SeqCst);
-    }
-
-    fn disarm() {
-        // Keep the state armed when the process was env-armed: the armed
-        // spec is reinstalled from the parsed environment.
-        let env = env_spec();
-        let mut active = ACTIVE.lock().unwrap_or_else(|e| e.into_inner());
-        match env {
-            Some(spec) => {
-                *active = Some(Arc::new(Armed {
-                    countdown: AtomicI64::new(clamp_i64(spec.at.max(1))),
-                    remaining: AtomicI64::new(clamp_i64(spec.count)),
-                    prng: AtomicU64::new(1),
-                    spec,
-                }));
-            }
-            None => {
-                *active = None;
-                drop(active);
-                STATE.store(CLEAR, Ordering::SeqCst);
-            }
-        }
-    }
-
-    fn env_spec() -> Option<FaultSpec> {
-        static ENV: OnceLock<Option<FaultSpec>> = OnceLock::new();
-        ENV.get_or_init(|| {
-            let site = std::env::var("PDS_FAULT_SITE").ok()?;
-            if site.is_empty() {
-                return None;
-            }
-            let class = std::env::var("PDS_FAULT_CLASS")
-                .ok()
-                .and_then(|c| ErrorClass::parse(&c))
-                .unwrap_or(ErrorClass::Eio);
-            let at = std::env::var("PDS_FAULT_AT")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or(1);
-            let count = std::env::var("PDS_FAULT_COUNT")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(u64::MAX);
-            Some(FaultSpec {
-                site,
-                class,
-                at,
-                count,
-                scope: std::env::var("PDS_FAULT_SCOPE").ok().map(PathBuf::from),
-                schedule: None,
-            })
-        })
-        .clone()
+    fn set_active(armed: Option<Armed>) {
+        *ACTIVE.lock().unwrap_or_else(|e| e.into_inner()) = armed.map(Arc::new);
     }
 
     #[inline]
     fn enabled() -> bool {
-        match STATE.load(Ordering::Relaxed) {
-            CLEAR => false,
-            ARMED => true,
-            _ => init_state(),
-        }
-    }
-
-    /// First-operation slow path: consult the environment arming protocol
-    /// exactly once, then settle [`STATE`].
-    #[cold]
-    fn init_state() -> bool {
-        static ENV_INIT: OnceLock<()> = OnceLock::new();
-        ENV_INIT.get_or_init(|| match env_spec() {
-            Some(spec) => install(spec),
-            // compare_exchange, not store: a programmatic `arm` racing
-            // with another thread's first operation must not be clobbered
-            // back to CLEAR.
-            None => {
-                let _ = STATE.compare_exchange(UNINIT, CLEAR, Ordering::SeqCst, Ordering::SeqCst);
-            }
-        });
-        STATE.load(Ordering::Relaxed) == ARMED
+        ARMED.load(Ordering::Relaxed)
     }
 
     /// A programmatically armed fault; dropping it disarms the injector
@@ -464,7 +359,8 @@ pub mod fault {
 
     impl Drop for FaultGuard {
         fn drop(&mut self) {
-            disarm();
+            set_active(None);
+            ARMED.store(false, Ordering::SeqCst);
         }
     }
 
@@ -473,7 +369,12 @@ pub mod fault {
     /// serialise instead of interfering.
     pub fn arm(spec: FaultSpec) -> FaultGuard {
         let lock = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        install(spec);
+        set_active(Some(Armed {
+            countdown: AtomicI64::new(clamp_i64(spec.at.max(1))),
+            remaining: AtomicI64::new(clamp_i64(spec.count)),
+            spec,
+        }));
+        ARMED.store(true, Ordering::SeqCst);
         FaultGuard { _lock: lock }
     }
 
@@ -517,20 +418,6 @@ pub mod fault {
                 return false;
             }
         }
-        if let Some((_, one_in)) = armed.spec.schedule {
-            // xorshift64*: deterministic per armed seed and op order.
-            let mut fired = false;
-            let _ = armed
-                .prng
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |mut x| {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    fired = one_in <= 1 || x % one_in == 0;
-                    Some(x)
-                });
-            return fired;
-        }
         let n = armed.countdown.fetch_sub(1, Ordering::SeqCst);
         if n > 1 {
             return false;
@@ -546,8 +433,8 @@ pub mod fault {
     /// Fault check for a non-write operation at `site` on `path`.
     ///
     /// `#[inline]` (here, on [`check_write`] and on [`enabled`]) is what
-    /// makes the passthrough's disabled fast path genuinely cost two
-    /// relaxed atomic loads: the vfs wrappers are instantiated in caller
+    /// makes the passthrough's disabled fast path genuinely cost one
+    /// relaxed atomic load: the vfs wrappers are instantiated in caller
     /// crates, and without it every buffered WAL append would pay a
     /// cross-crate call chain (it shows in `pds-perf`'s
     /// `store.ingest_wal_ns_per_record`).
@@ -790,37 +677,6 @@ mod tests {
         assert!(fault::is_injected(&err));
         drop(guard);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn seeded_schedule_is_deterministic() {
-        let run = |seed: u64| {
-            let dir = tmp_dir("sched");
-            let mut spec = FaultSpec::persistent("t-sched", ErrorClass::Eio).scoped(&dir);
-            spec.schedule = Some((seed, 3));
-            let guard = fault::arm(spec);
-            let pattern: Vec<bool> = (0..32)
-                .map(|i| write("t-sched", &dir.join(format!("{i}.bin")), b"x").is_err())
-                .collect();
-            drop(guard);
-            let _ = std::fs::remove_dir_all(&dir);
-            pattern
-        };
-        let a = run(0xC0DE);
-        assert_eq!(a, run(0xC0DE), "same seed, same schedule");
-        assert!(
-            a.iter().any(|&f| f),
-            "a 1-in-3 schedule fires within 32 ops"
-        );
-        assert!(!a.iter().all(|&f| f), "and does not fire every time");
-    }
-
-    #[test]
-    fn class_names_roundtrip() {
-        for class in ErrorClass::ALL {
-            assert_eq!(ErrorClass::parse(class.name()), Some(class));
-        }
-        assert_eq!(ErrorClass::parse("bogus"), None);
     }
 
     #[test]

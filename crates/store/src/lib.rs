@@ -81,9 +81,9 @@
 //! A store opened with [`SynopsisStore::open_with_wal`] is **restart-safe
 //! end to end**.  Three artefacts share its directory, each CRC-checked:
 //!
-//! * **WAL** ([`wal`]) — every routed record, CRC-framed, group-committed
-//!   once per ingest call per touched shard; covers the live and mid-seal
-//!   window.
+//! * **WAL** ([`wal`]) — every routed record as a binary frame whose every
+//!   byte, length included, is CRC-checked; group-committed once per ingest
+//!   call per touched shard; covers the live and mid-seal window.
 //! * **Segment blobs** — at install, each sealed segment is published as
 //!   `seg-<p>-<seq>.bin` in the block-structured `PDSB` v2 container
 //!   ([`blob`]): a prune-metadata block (item fence + presence filter) and
@@ -105,7 +105,7 @@
 //!
 //! | crash while the record/segment is… | crash outcome | I/O failure at the same stage (site) |
 //! |---|---|---|
-//! | buffered in a live memtable | replayed from the WAL (CRC-framed: a torn-but-parseable line is detected, not replayed wrong) | `wal-append` degrades before the memtable insert (nothing acknowledged, nothing lost; the counters do not move, though another shard's sub-batch of the same call — a split x-tuple's other half included — may have landed); `wal-commit` degrades after it (the batch is unacknowledged but visible — the documented over-inclusion window) |
+//! | buffered in a live memtable | replayed from the WAL (checksummed frames: a torn final frame is dropped, never replayed wrong; a damaged one fails the open) | `wal-append` degrades before the memtable insert (nothing acknowledged, nothing lost; the counters do not move, though another shard's sub-batch of the same call — a split x-tuple's other half included — may have landed); `wal-commit` degrades after it (the batch is unacknowledged but visible — the documented over-inclusion window) |
 //! | frozen, segment build in flight (no shard lock held; queries read the frozen memtable) | replayed from the frozen WAL log | `wal-rotate` restores the records to the live memtable and degrades |
 //! | built, blob/manifest not yet written (still off-lock) | replayed from the frozen WAL log | `blob-write` / `blob-publish` unfreeze the records back into the live memtable and WAL, then degrade |
 //! | **installed** (manifest entry written; the short write lock swaps the segment in and retires the frozen log) | reloaded from its blob via the manifest | `manifest-install` unfreezes and degrades (the published blob becomes an orphan, swept at the next reopen); a failed `wal-retire` afterwards is counted, never fatal — the manifest entry already covers the log |

@@ -340,16 +340,18 @@ fn accumulate<'a>(
     (total, visited, pruned)
 }
 
-/// The summed piecewise-constant summary of one partition's captured
-/// sealed-segment handles (`None` when it has none).  Runs off-guard: a
-/// reopened segment's first touch reads its synopsis block here, and an
-/// unreadable block fails the merge (which must be complete or an error,
-/// never silently partial).
-fn partition_pieces(handles: &[Arc<SegmentHandle>]) -> Result<Option<Vec<Piece>>> {
-    let mut layers: Vec<Vec<Piece>> = Vec::with_capacity(handles.len());
-    for handle in handles {
-        layers.push(handle.load()?.pieces());
-    }
+/// The summed piecewise-constant summary of sealed-segment handles — one
+/// partition's captured cut, or a compaction round's inputs (`None` when
+/// there are none).  Runs off-guard: a reopened segment's first touch
+/// reads its synopsis block here, and an unreadable block fails the merge
+/// (which must be complete or an error, never silently partial).
+pub(crate) fn partition_pieces<'a>(
+    handles: impl IntoIterator<Item = &'a Arc<SegmentHandle>>,
+) -> Result<Option<Vec<Piece>>> {
+    let mut layers = handles
+        .into_iter()
+        .map(|handle| Ok(handle.load()?.pieces()))
+        .collect::<Result<Vec<_>>>()?;
     match layers.len() {
         0 => Ok(None),
         1 => Ok(layers.pop()),

@@ -53,7 +53,7 @@ use pds_core::pool;
 use pds_core::stream::StreamRecord;
 use pds_core::telemetry::Stopwatch;
 use pds_core::vfs;
-use pds_histogram::merge::{optimal_piecewise_histogram, sum_pieces, Piece};
+use pds_histogram::merge::optimal_piecewise_histogram;
 use pds_wavelet::build_sse_wavelet;
 use serde::{Deserialize, Serialize};
 
@@ -61,7 +61,7 @@ use crate::compaction::CompactionPolicy;
 use crate::crashpoint;
 use crate::manifest::{segment_blob_name, Manifest};
 use crate::memtable::Memtable;
-use crate::query::{read_shard, MergeCache, SegmentHandle};
+use crate::query::{partition_pieces, read_shard, MergeCache, SegmentHandle};
 use crate::segment::{Segment, SegmentSynopsis, SynopsisKind};
 use crate::telemetry::{IoPolicy, StoreTelemetry};
 use crate::wal::{PartitionWal, WalSync};
@@ -1222,12 +1222,10 @@ impl SynopsisStore {
     fn build_compacted(inner: &StoreInner, task: &CompactTask) -> Result<Segment> {
         // Lazily-backed inputs load here, with no lock held; a block that
         // cannot be read fails the round (the inputs stay authoritative)
-        // rather than merging a silently incomplete set.
-        let mut layers: Vec<Vec<Piece>> = Vec::with_capacity(task.inputs.len());
-        for (_, handle) in &task.inputs {
-            layers.push(handle.load()?.pieces());
-        }
-        let summed = sum_pieces(&layers)?;
+        // rather than merging a silently incomplete set.  A round has at
+        // least two inputs, so the pieces always go through `sum_pieces`.
+        let summed =
+            partition_pieces(task.inputs.iter().map(|(_, handle)| handle))?.unwrap_or_default();
         let (start, width) = inner.config.partitions.range(task.partition);
         let budget = inner.config.segment_budget.min(width);
         let synopsis = match inner.config.synopsis {
@@ -1752,6 +1750,11 @@ pub(crate) mod tests {
         assert!((back.range_estimate(3, 3) - 0.5).abs() < 1e-12);
     }
 
+    /// The WAL frame of one basic record.
+    fn wal_frame(item: usize, prob: f64) -> Vec<u8> {
+        crate::wal::frame_record(&StreamRecord::Basic { item, prob }).unwrap()
+    }
+
     #[test]
     fn wal_replay_recovers_live_and_in_flight_records() {
         let dir = std::env::temp_dir().join(format!("pds-store-wal-test-{}", std::process::id()));
@@ -1771,15 +1774,7 @@ pub(crate) mod tests {
         }
         // Simulate a crash mid-seal on top: a frozen log whose segment never
         // landed must replay as live records too.
-        std::fs::write(
-            dir.join("wal-1.7.sealing"),
-            crate::wal::frame_record(&StreamRecord::Basic {
-                item: 14,
-                prob: 0.25,
-            })
-            .unwrap(),
-        )
-        .unwrap();
+        std::fs::write(dir.join("wal-1.7.sealing"), wal_frame(14, 0.25)).unwrap();
         let reopened = SynopsisStore::open_with_wal(config(16, 2, 100), &dir).unwrap();
         assert_eq!(reopened.stats().live_records, 8);
         for (item, expected) in [(0usize, 0.5), (1, 0.75), (4, 0.5), (12, 0.5), (14, 0.25)] {
@@ -1819,30 +1814,16 @@ pub(crate) mod tests {
                 .ingest(StreamRecord::Basic { item: 2, prob: 0.5 })
                 .unwrap();
         }
-        // Corrupt partition 1's live log by hand (a framed line whose
-        // checksum does not match its payload — mid-file, so the torn-tail
+        // Corrupt partition 1's live log by hand (a frame with one payload
+        // bit flipped, so its checksum fails — mid-file, so the torn-tail
         // lenience does not apply).
-        let good = crate::wal::frame_record(&StreamRecord::Basic {
-            item: 10,
-            prob: 0.5,
-        })
-        .unwrap();
-        std::fs::write(
-            dir.join("wal-1.log"),
-            format!("{}{good}", good.replace("0.5", "0.7")),
-        )
-        .unwrap();
+        let good = wal_frame(10, 0.5);
+        let mut bad = good.clone();
+        bad[good.len() - 5] ^= 0x10;
+        std::fs::write(dir.join("wal-1.log"), [bad, good].concat()).unwrap();
         assert!(SynopsisStore::open_with_wal(config(16, 2, 100), &dir).is_err());
         // Partition 0's records survived the failed recovery.
-        std::fs::write(
-            dir.join("wal-1.log"),
-            crate::wal::frame_record(&StreamRecord::Basic {
-                item: 9,
-                prob: 0.25,
-            })
-            .unwrap(),
-        )
-        .unwrap();
+        std::fs::write(dir.join("wal-1.log"), wal_frame(9, 0.25)).unwrap();
         let recovered = SynopsisStore::open_with_wal(config(16, 2, 100), &dir).unwrap();
         assert!((recovered.range_estimate(2, 2) - 0.5).abs() < 1e-12);
         assert!((recovered.range_estimate(9, 9) - 0.25).abs() < 1e-12);

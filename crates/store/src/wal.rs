@@ -1,5 +1,5 @@
 //! Per-partition write-ahead logs for live memtable contents, with
-//! CRC-framed records and group commit.
+//! checksummed binary frames and group commit.
 //!
 //! A store's sealed segments are durable through their install-time blobs
 //! and the [`Manifest`](crate::manifest::Manifest); the records still
@@ -10,28 +10,28 @@
 //!
 //! ## Record framing
 //!
-//! Every appended record is one **CRC-framed line**:
+//! Every appended record is one **frame**, built with `pds_core::binio`:
 //!
 //! ```text
-//! r <len> <crc32-hex8> <payload>
+//! <len: varint> <crc32(len bytes): u32> <payload: len bytes> <crc32(payload): u32>
 //! ```
 //!
-//! where `<payload>` is the record in the `pds_core::io` stream line format
-//! (`b <item> <prob>` …), `<len>` is the payload's byte length and the
-//! checksum is `pds_core::binio::crc32` over the payload bytes.  The frame
-//! exists because a torn buffered write can truncate a record into one that
-//! *still parses* — `b 3 0.25` torn to `b 3 0.2` replays a silently wrong
-//! probability.  With the frame, truncation breaks the declared length and
-//! corruption breaks the checksum, so replay either gets the exact bytes
-//! that were acknowledged or refuses.
+//! The payload is the record itself: a kind tag (`b` basic, `x` x-tuple,
+//! `v` value pdf), varint items and counts, and `f64` bit patterns, so
+//! replay gets back exactly the bits that were logged.  Every byte of a
+//! frame is checked, its length included.  The length's own checksum is
+//! what keeps a damaged length from lying: it reads as corruption, and can
+//! never point past the end of the log and pass for a torn tail that would
+//! swallow the acknowledged frames behind it.
 //!
-//! **Torn-final-frame tolerance.**  On a *live* log the final frame may be
-//! incomplete (missing fields or a payload shorter than its declared
-//! length): that is an unacknowledged append torn by the crash and is
-//! dropped.  A *complete* final frame whose checksum mismatches, or any
-//! broken frame that is not the last, is corruption and aborts the scan
-//! with every file intact.  Frozen logs were flushed before their rename,
-//! so they are read strictly (no tolerance).
+//! **Torn-final-frame tolerance.**  A frame that runs past the end of a
+//! *live* log — any proper prefix of a valid frame — is an unacknowledged
+//! append torn by the crash and is dropped.  Any other broken frame, the
+//! last one included, is corruption and aborts the scan with every file
+//! intact.  Frozen logs were flushed before their rename, so they are read
+//! strictly (no tolerance).  There is one format and no file header: a log
+//! in any other format (the text frames of older builds, say) fails its
+//! first frame's length check.
 //!
 //! ## File lifecycle
 //!
@@ -94,9 +94,8 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use pds_core::binio::crc32;
+use pds_core::binio::{crc32, ByteReader, ByteWriter};
 use pds_core::error::{PdsError, Result};
-use pds_core::io::{read_stream, write_stream};
 use pds_core::stream::StreamRecord;
 use pds_core::vfs;
 
@@ -112,161 +111,187 @@ fn live_path(dir: &Path, partition: usize) -> PathBuf {
     dir.join(format!("wal-{partition}.log"))
 }
 
-/// Serialises one record as a CRC-framed WAL line (including the trailing
-/// newline) — the exact bytes [`PartitionWal::append`] writes.  Public so
-/// durability tests can craft valid (and then deliberately broken) logs.
-pub fn frame_record(record: &StreamRecord) -> Result<String> {
-    let mut payload = Vec::new();
-    write_stream(std::iter::once(record), &mut payload)?;
-    // write_stream terminates the line; the payload is the line body.
-    while payload.last() == Some(&b'\n') || payload.last() == Some(&b'\r') {
-        payload.pop();
+/// Payload kind tags, one per [`StreamRecord`] variant.
+const BASIC: u8 = b'b';
+const ALTERNATIVES: u8 = b'x';
+const VALUE_PDF: u8 = b'v';
+
+/// The longest LEB128 encoding of a `u64`: the most bytes a frame's length
+/// field can take.
+const MAX_LEN_BYTES: usize = 10;
+
+fn encode_record(record: &StreamRecord, w: &mut ByteWriter) {
+    match record {
+        StreamRecord::Basic { item, prob } => {
+            w.put_u8(BASIC);
+            w.put_varint(*item as u64);
+            w.put_f64(*prob);
+        }
+        StreamRecord::Alternatives(alts) => {
+            w.put_u8(ALTERNATIVES);
+            w.put_varint(alts.len() as u64);
+            for &(item, prob) in alts {
+                w.put_varint(item as u64);
+                w.put_f64(prob);
+            }
+        }
+        StreamRecord::ValueDistribution { item, entries } => {
+            w.put_u8(VALUE_PDF);
+            w.put_varint(*item as u64);
+            w.put_varint(entries.len() as u64);
+            for &(value, prob) in entries {
+                w.put_f64(value);
+                w.put_f64(prob);
+            }
+        }
     }
-    let payload = String::from_utf8(payload).map_err(|_| PdsError::InvalidParameter {
-        message: "wal: serialised stream line is not valid utf-8".into(),
-    })?;
-    Ok(format!(
-        "r {} {:08x} {payload}\n",
-        payload.len(),
-        crc32(payload.as_bytes())
-    ))
 }
 
-/// How one framed line failed to parse — drives the torn-tail tolerance.
+/// Decodes one payload and validates the record, as ingest would.  Items
+/// go through `get_len` with no limit beyond `usize`; counts are bounded
+/// by the bytes left, so a bad count cannot drive a huge allocation.
+fn decode_record(payload: &[u8]) -> Result<StreamRecord> {
+    let mut r = ByteReader::new(payload, "wal record");
+    let record = match r.get_u8()? {
+        BASIC => StreamRecord::Basic {
+            item: r.get_len(usize::MAX)?,
+            prob: r.get_f64()?,
+        },
+        ALTERNATIVES => {
+            let n = r.get_len(r.remaining())?;
+            StreamRecord::Alternatives(
+                (0..n)
+                    .map(|_| Ok((r.get_len(usize::MAX)?, r.get_f64()?)))
+                    .collect::<Result<_>>()?,
+            )
+        }
+        VALUE_PDF => {
+            let item = r.get_len(usize::MAX)?;
+            let n = r.get_len(r.remaining())?;
+            let entries = (0..n)
+                .map(|_| Ok((r.get_f64()?, r.get_f64()?)))
+                .collect::<Result<_>>()?;
+            StreamRecord::ValueDistribution { item, entries }
+        }
+        tag => {
+            return Err(PdsError::InvalidParameter {
+                message: format!("wal record: unknown kind tag {tag:#04x}"),
+            })
+        }
+    };
+    r.finish()?;
+    record.validate()?;
+    Ok(record)
+}
+
+/// Appends one checked field of a frame: the bytes, then their CRC.
+fn put_checked(frame: &mut ByteWriter, bytes: &[u8]) {
+    frame.put_bytes(bytes);
+    frame.put_u32(crc32(bytes));
+}
+
+/// Serialises one record as a WAL frame — the exact bytes
+/// [`PartitionWal::append`] writes (see the module docs for the layout).
+/// Public so durability tests can craft valid (and then deliberately
+/// broken) logs.
+pub fn frame_record(record: &StreamRecord) -> Result<Vec<u8>> {
+    let mut payload = ByteWriter::new();
+    encode_record(record, &mut payload);
+    let payload = payload.into_bytes();
+    let mut len = ByteWriter::new();
+    len.put_varint(payload.len() as u64);
+    let mut frame = ByteWriter::new();
+    put_checked(&mut frame, &len.into_bytes());
+    put_checked(&mut frame, &payload);
+    Ok(frame.into_bytes())
+}
+
+/// Why the frame at the front of a log image failed to decode.
 enum FrameError {
-    /// Structurally short: missing fields or payload shorter than its
-    /// declared length.  On the final line of a live log this is a torn
-    /// buffered append and is dropped.
+    /// The frame runs past the end of the bytes: a torn buffered append.
     Truncated,
-    /// A complete frame that fails its checksum, declares the wrong length
-    /// for a longer payload, or carries an unparseable record: corruption,
-    /// never tolerated.
+    /// A frame failing a checksum or carrying an invalid record.
     Corrupt(String),
 }
 
-/// Parses one framed line into its record.
-fn parse_frame(line: &str) -> std::result::Result<StreamRecord, FrameError> {
-    let corrupt = |what: &str| FrameError::Corrupt(format!("{what}: {line:?}"));
-    let Some(rest) = line.strip_prefix("r ") else {
-        if line.len() < 2 && "r ".starts_with(line) {
-            return Err(FrameError::Truncated);
-        }
-        // A line that parses as a bare stream record is a log written by
-        // the pre-frame WAL format — name it, so an upgrade across the
-        // framing change reads as "migrate this log", not as corruption.
-        if read_stream(line.as_bytes()).is_ok() {
-            return Err(FrameError::Corrupt(format!(
-                "unframed record from a pre-CRC-format wal log (re-ingest or \
-                 remove the old log to migrate): {line:?}"
-            )));
-        }
-        return Err(corrupt("not a framed wal record"));
+/// Splits one checked field of `n` bytes off the front of `bytes`,
+/// returning it and the bytes after its CRC.
+fn take_checked<'a>(
+    bytes: &'a [u8],
+    n: usize,
+    what: &str,
+) -> std::result::Result<(&'a [u8], &'a [u8]), FrameError> {
+    let (field, rest) = bytes.split_at_checked(n).ok_or(FrameError::Truncated)?;
+    let (stored, rest) = rest.split_first_chunk::<4>().ok_or(FrameError::Truncated)?;
+    if crc32(field) != u32::from_le_bytes(*stored) {
+        return Err(FrameError::Corrupt(format!("{what} fails its checksum")));
+    }
+    Ok((field, rest))
+}
+
+/// Decodes the frame at the front of `bytes`, returning its record and the
+/// bytes after it.
+fn decode_frame(bytes: &[u8]) -> std::result::Result<(StreamRecord, &[u8]), FrameError> {
+    let corrupt = |e: PdsError| FrameError::Corrupt(e.to_string());
+    // The length varint ends at the first byte without a continuation bit.
+    let end = match bytes.iter().take(MAX_LEN_BYTES).position(|b| b & 0x80 == 0) {
+        Some(end) => end,
+        None if bytes.len() < MAX_LEN_BYTES => return Err(FrameError::Truncated),
+        None => return Err(FrameError::Corrupt("over-long frame length".into())),
     };
-    let Some((len_str, rest)) = rest.split_once(' ') else {
-        return Err(FrameError::Truncated);
-    };
-    let Ok(len) = len_str.parse::<usize>() else {
-        return Err(corrupt("bad frame length"));
-    };
-    let Some((crc_str, payload)) = rest.split_once(' ') else {
-        return Err(FrameError::Truncated);
-    };
-    if crc_str.len() != 8 {
-        return Err(if payload.is_empty() && crc_str.len() < 8 {
-            FrameError::Truncated
-        } else {
-            corrupt("bad frame checksum field")
+    let (len, rest) = take_checked(bytes, end + 1, "frame length")?;
+    let len = ByteReader::new(len, "wal frame length")
+        .get_varint()
+        .map_err(corrupt)?;
+    // A length past `usize` runs past the end of any log.
+    let len = usize::try_from(len).unwrap_or(usize::MAX);
+    let (payload, rest) = take_checked(rest, len, "payload")?;
+    Ok((decode_record(payload).map_err(corrupt)?, rest))
+}
+
+/// Decodes a log image frame by frame.  A final frame that runs past the
+/// end of `bytes` is dropped when `torn_tail_ok` (live logs) and an error
+/// otherwise; any other broken frame fails the whole log.  `log` names the
+/// image in errors.
+fn decode_frames(mut bytes: &[u8], torn_tail_ok: bool, log: &str) -> Result<Vec<StreamRecord>> {
+    let total = bytes.len();
+    let mut records = Vec::new();
+    while !bytes.is_empty() {
+        let why = match decode_frame(bytes) {
+            Ok((record, rest)) => {
+                records.push(record);
+                bytes = rest;
+                continue;
+            }
+            // A torn buffered append: the record was never acknowledged.
+            Err(FrameError::Truncated) if torn_tail_ok => break,
+            Err(FrameError::Truncated) => "frame cut short by the end of the log".to_string(),
+            Err(FrameError::Corrupt(why)) => why,
+        };
+        return Err(PdsError::InvalidParameter {
+            message: format!(
+                "wal: {log}: corrupt frame at byte {}: {why}",
+                total - bytes.len()
+            ),
         });
     }
-    let Ok(stored) = u32::from_str_radix(crc_str, 16) else {
-        return Err(corrupt("bad frame checksum field"));
-    };
-    if payload.len() < len {
-        // The payload was cut short: a torn write, detectable even when the
-        // truncated text would still parse as a (wrong) record.
-        return Err(FrameError::Truncated);
-    }
-    if payload.len() > len {
-        return Err(corrupt("frame payload longer than its declared length"));
-    }
-    if crc32(payload.as_bytes()) != stored {
-        return Err(corrupt("frame checksum mismatch"));
-    }
-    let mut records =
-        read_stream(payload.as_bytes()).map_err(|e| FrameError::Corrupt(e.to_string()))?;
-    match (records.pop(), records.pop()) {
-        (Some(record), None) => Ok(record),
-        _ => Err(corrupt("frame payload is not exactly one record")),
-    }
+    Ok(records)
 }
 
-/// Outcome of parsing one framed WAL line — the decoder surface the fuzz
-/// harness (`pds-analyze`) drives directly.  Mirrors the internal framing
-/// result: a valid record, a structurally short (torn) frame, or
-/// corruption with its reason.
-#[derive(Debug)]
-pub enum FrameOutcome {
-    /// The line framed a single valid record.
-    Record(StreamRecord),
-    /// The line is structurally short — a torn buffered append.  Tolerated
-    /// only on the final line of a *live* log.
-    Truncated,
-    /// A complete frame failing its checksum, length, or record parse:
-    /// corruption, never tolerated.
-    Corrupt(String),
-}
-
-/// Parses one framed WAL line without any tail tolerance, classifying the
-/// result.  This is [`frame_record`]'s decoding counterpart; the fuzzer
-/// asserts that no mutated line ever panics here and that a line whose CRC
-/// was corrupted never classifies as [`FrameOutcome::Record`].
-pub fn parse_frame_line(line: &str) -> FrameOutcome {
-    match parse_frame(line) {
-        Ok(record) => FrameOutcome::Record(record),
-        Err(FrameError::Truncated) => FrameOutcome::Truncated,
-        Err(FrameError::Corrupt(why)) => FrameOutcome::Corrupt(why),
-    }
+/// Decodes a whole log image strictly (no torn-tail tolerance) — the
+/// decoding counterpart of [`frame_record`], and the surface the fuzz
+/// harness (`pds-analyze`) drives: no input may panic here, and no input
+/// with a flipped bit may decode.
+pub fn decode_log(bytes: &[u8]) -> Result<Vec<StreamRecord>> {
+    decode_frames(bytes, false, "log image")
 }
 
 /// Reads a framed log.  `tolerate_torn_tail` enables the live-log lenience
-/// for the final line; frozen logs pass `false`.
+/// for the final frame; frozen logs pass `false`.
 fn read_framed_log(path: &Path, tolerate_torn_tail: bool) -> Result<Vec<StreamRecord>> {
-    let text = vfs::read_to_string("recovery-read", path)
-        .map_err(|e| io_err("opening a log for replay", e))?;
-    let lines: Vec<&str> = text
-        .split('\n')
-        .map(|l| l.trim_end_matches('\r'))
-        .filter(|l| !l.is_empty())
-        .collect();
-    let mut records = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        match parse_frame(line) {
-            Ok(record) => records.push(record),
-            Err(FrameError::Truncated) if tolerate_torn_tail && i + 1 == lines.len() => {
-                // A torn buffered append: the record was never acknowledged.
-                break;
-            }
-            Err(FrameError::Truncated) => {
-                return Err(PdsError::InvalidParameter {
-                    message: format!(
-                        "wal: {}: truncated frame before the end of the log (line {}): {line:?}",
-                        path.display(),
-                        i + 1
-                    ),
-                });
-            }
-            Err(FrameError::Corrupt(why)) => {
-                return Err(PdsError::InvalidParameter {
-                    message: format!(
-                        "wal: {}: corrupt frame (line {}): {why}",
-                        path.display(),
-                        i + 1
-                    ),
-                });
-            }
-        }
-    }
-    Ok(records)
+    let bytes =
+        vfs::read("recovery-read", path).map_err(|e| io_err("opening a log for replay", e))?;
+    decode_frames(&bytes, tolerate_torn_tail, &path.display().to_string())
 }
 
 /// The outcome of scanning a partition's logs: every replayable record (in
@@ -400,13 +425,8 @@ impl PartitionWal {
                     .map_err(|e| io_err("creating the staging log", e))?,
             );
             for record in &replay.records {
-                vfs::write_all(
-                    "recovery-commit",
-                    &tmp,
-                    &mut staged,
-                    frame_record(record)?.as_bytes(),
-                )
-                .map_err(|e| io_err("writing the staging log", e))?;
+                vfs::write_all("recovery-commit", &tmp, &mut staged, &frame_record(record)?)
+                    .map_err(|e| io_err("writing the staging log", e))?;
             }
             vfs::flush("recovery-commit", &tmp, &mut staged)
                 .map_err(|e| io_err("flushing the staging log", e))?;
@@ -442,8 +462,8 @@ impl PartitionWal {
         })
     }
 
-    /// Appends one routed record as a CRC-framed line (buffered until the
-    /// next [`PartitionWal::commit_group`] or [`PartitionWal::rotate`]).
+    /// Appends one routed record as a frame (buffered until the next
+    /// [`PartitionWal::commit_group`] or [`PartitionWal::rotate`]).
     ///
     /// Append errors are **not retried**: a partially buffered frame
     /// cannot be rewound, so a retry would stack a second copy behind torn
@@ -452,12 +472,7 @@ impl PartitionWal {
     /// exactly the torn-final-frame case replay already tolerates.
     pub fn append(&mut self, record: &StreamRecord) -> Result<()> {
         let frame = frame_record(record)?;
-        let result = vfs::write_all(
-            "wal-append",
-            &self.live_path,
-            &mut self.writer,
-            frame.as_bytes(),
-        );
+        let result = vfs::write_all("wal-append", &self.live_path, &mut self.writer, &frame);
         if let Err(e) = &result {
             self.policy.observe_error("wal-append", e);
         }
@@ -594,6 +609,18 @@ mod tests {
         StreamRecord::Basic { item, prob }
     }
 
+    /// One record of each kind.
+    fn one_of_each() -> [StreamRecord; 3] {
+        [
+            basic(3, 0.25),
+            StreamRecord::Alternatives(vec![(2, 0.1), (300, 0.5)]),
+            StreamRecord::ValueDistribution {
+                item: 9000,
+                entries: vec![(2.0, 0.5), (5.0, 0.25)],
+            },
+        ]
+    }
+
     /// Scan with nothing covered and the default (telemetry-less) policy.
     fn scan(dir: &Path, partition: usize) -> Result<WalReplay> {
         PartitionWal::scan(dir, partition, &BTreeSet::new(), &IoPolicy::default())
@@ -617,14 +644,7 @@ mod tests {
         let dir = tmp_dir("round-trip");
         let (mut wal, replayed) = open(&dir, 3).unwrap();
         assert!(replayed.is_empty());
-        let records = vec![
-            StreamRecord::Basic { item: 7, prob: 0.5 },
-            StreamRecord::Alternatives(vec![(8, 0.25), (9, 0.5)]),
-            StreamRecord::ValueDistribution {
-                item: 7,
-                entries: vec![(2.0, 0.5)],
-            },
-        ];
+        let records = one_of_each();
         for r in &records[..2] {
             wal.append(r).unwrap();
         }
@@ -751,25 +771,22 @@ mod tests {
     fn corrupt_frames_surface_as_errors_without_destroying_files() {
         let dir = tmp_dir("corrupt");
         fs::create_dir_all(&dir).unwrap();
-        // A frame whose payload is garbage (valid CRC over an unparseable
-        // record) must abort the scan.
-        let payload = "b 0 not-a-number";
-        let bad = format!(
-            "r {} {:08x} {payload}\n",
-            payload.len(),
-            crc32(payload.as_bytes())
-        );
-        fs::write(
-            dir.join("wal-2.log"),
-            format!("{bad}{}", frame_record(&basic(1, 0.5)).unwrap()),
-        )
-        .unwrap();
-        assert!(scan(&dir, 2).is_err());
-        // The corrupt log is still there for inspection/repair.
-        assert!(dir.join("wal-2.log").exists());
-        fs::write(dir.join("wal-2.log"), frame_record(&basic(0, 0.5)).unwrap()).unwrap();
-        let replay = scan(&dir, 2).unwrap();
-        assert_eq!(replay.records.len(), 1);
+        let path = dir.join("wal-2.log");
+        let good = frame_record(&basic(1, 0.5)).unwrap();
+        // A line of the older text format fails its first frame's length
+        // check; a frame whose checksums hold over an invalid record
+        // (probability 2) fails record validation.
+        let text = b"r 8 0245182d b 3 0.25\n".to_vec();
+        for bad in [text, frame_record(&basic(1, 2.0)).unwrap()] {
+            let log = [bad, good.clone()].concat();
+            fs::write(&path, &log).unwrap();
+            let err = scan(&dir, 2).unwrap_err().to_string();
+            assert!(err.contains(&path.display().to_string()), "{err}");
+            // The corrupt log is still there for inspection/repair.
+            assert_eq!(fs::read(&path).unwrap(), log);
+        }
+        fs::write(&path, &good).unwrap();
+        assert_eq!(scan(&dir, 2).unwrap().records, vec![basic(1, 0.5)]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -777,26 +794,18 @@ mod tests {
     fn torn_final_frames_are_dropped_not_fatal() {
         let dir = tmp_dir("torn");
         fs::create_dir_all(&dir).unwrap();
-        let good: String = [basic(0, 0.5), basic(1, 0.25)]
-            .iter()
-            .map(|r| frame_record(r).unwrap())
-            .collect();
-        // A crash mid-append leaves a partial last line: the acknowledged
+        let good = [basic(0, 0.5), basic(1, 0.25)].map(|r| frame_record(&r).unwrap());
+        // A crash mid-append leaves a partial last frame: the acknowledged
         // prefix replays, the torn tail is discarded.
         let torn = frame_record(&StreamRecord::Alternatives(vec![(2, 0.1), (3, 0.5)])).unwrap();
         let torn = &torn[..torn.len() - 6]; // cut mid-payload
-        fs::write(dir.join("wal-0.log"), format!("{good}{torn}")).unwrap();
+        fs::write(dir.join("wal-0.log"), [&good.concat(), torn].concat()).unwrap();
         let replay = scan(&dir, 0).unwrap();
         assert_eq!(replay.records, vec![basic(0, 0.5), basic(1, 0.25)]);
-        // A log that is one torn line replays as empty.
+        // A log that is one torn frame replays as empty.
         let lone = frame_record(&basic(7, 0.25)).unwrap();
         fs::write(dir.join("wal-1.log"), &lone[..lone.len() - 2]).unwrap();
-        let replay = scan(&dir, 1).unwrap();
-        assert!(replay.records.is_empty());
-        // Frozen logs stay strict: rotation flushed them, so a short frame
-        // is corruption there, not a torn tail.
-        fs::write(dir.join("wal-3.0.sealing"), &lone[..lone.len() - 2]).unwrap();
-        assert!(scan(&dir, 3).is_err());
+        assert!(scan(&dir, 1).unwrap().records.is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -804,23 +813,21 @@ mod tests {
     fn torn_but_parseable_truncation_is_detected() {
         let dir = tmp_dir("torn-parseable");
         fs::create_dir_all(&dir).unwrap();
-        // `b 3 0.25` torn to `b 3 0.2` still parses as a record — the exact
-        // silent-wrong-probability hazard the frame exists to stop.  The
-        // declared length no longer matches, so the tail is dropped (live
-        // log), never replayed as 0.2.
-        let full = frame_record(&basic(3, 0.25)).unwrap();
-        let torn = &full[..full.len() - 2]; // "...b 3 0.2" without newline
-        fs::write(dir.join("wal-0.log"), torn).unwrap();
-        let replay = scan(&dir, 0).unwrap();
-        assert!(
-            replay.records.is_empty(),
-            "torn probability must not replay"
-        );
-
-        // The same truncation mid-file (with a later record) is corruption.
-        let next = frame_record(&basic(4, 0.5)).unwrap();
-        fs::write(dir.join("wal-1.log"), format!("{torn}\n{next}")).unwrap();
-        assert!(scan(&dir, 1).is_err());
+        // Every proper prefix of a final frame — a torn probability's bits
+        // included — is a torn tail: dropped from a live log, never
+        // replayed as a different record.  Frozen logs stay strict:
+        // rotation flushed them, so a short frame is corruption there.
+        let acked = frame_record(&basic(1, 0.5)).unwrap();
+        for record in one_of_each() {
+            let full = frame_record(&record).unwrap();
+            for cut in 1..full.len() {
+                fs::write(dir.join("wal-0.log"), [&acked, &full[..cut]].concat()).unwrap();
+                let replayed = scan(&dir, 0).unwrap().records;
+                assert_eq!(replayed, [basic(1, 0.5)], "{record:?} cut at {cut}");
+                fs::write(dir.join("wal-1.0.sealing"), &full[..cut]).unwrap();
+                assert!(scan(&dir, 1).is_err(), "frozen {record:?} cut at {cut}");
+            }
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -828,13 +835,23 @@ mod tests {
     fn bit_flipped_frames_are_rejected() {
         let dir = tmp_dir("bit-flip");
         fs::create_dir_all(&dir).unwrap();
-        let line = frame_record(&basic(3, 0.25)).unwrap();
-        // Flip one character of the payload (probability digit): the CRC
-        // catches it even though the line still parses structurally.
-        let flipped = line.replace("0.25", "0.26");
-        assert_ne!(flipped, line);
-        fs::write(dir.join("wal-0.log"), &flipped).unwrap();
-        assert!(scan(&dir, 0).is_err());
+        let path = dir.join("wal-0.log");
+        // Every single-bit flip of a frame, its length bytes included, fails
+        // the scan with the file intact — whether a frame follows it or it
+        // is the last one.
+        let tail = frame_record(&basic(4, 0.5)).unwrap();
+        for record in one_of_each() {
+            let log = [frame_record(&record).unwrap(), tail.clone()].concat();
+            for pos in 0..log.len() {
+                for bit in 0..8 {
+                    let mut flipped = log.clone();
+                    flipped[pos] ^= 1 << bit;
+                    fs::write(&path, &flipped).unwrap();
+                    assert!(scan(&dir, 0).is_err(), "{record:?}: byte {pos} bit {bit}");
+                    assert_eq!(fs::read(&path).unwrap(), flipped);
+                }
+            }
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,7 +1,7 @@
 //! Byte-pinned golden fixtures for the on-disk formats: `PDSG` (segment),
 //! `PDST` (whole store), the block-structured `PDSB` segment blob (plus a
-//! fixture of its retired v1 CRC-trailed predecessor, pinned as *rejected*)
-//! and the `MANIFEST`.
+//! fixture of its retired v1 CRC-trailed predecessor, pinned as *rejected*),
+//! the `MANIFEST` and the WAL log's binary frames.
 //!
 //! The fixtures in `tests/golden/` are checked into the repository.  Every
 //! test here (a) re-encodes a deterministic artefact and asserts the bytes
@@ -20,7 +20,7 @@ use pds_core::metrics::ErrorMetric;
 use pds_core::stream::StreamRecord;
 use pds_store::blob;
 use pds_store::manifest::Manifest;
-use pds_store::{PartitionSpec, Segment, StoreConfig, SynopsisKind, SynopsisStore, WalSync};
+use pds_store::{wal, PartitionSpec, Segment, StoreConfig, SynopsisKind, SynopsisStore, WalSync};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -199,4 +199,29 @@ fn manifest_format_is_pinned() {
     assert_eq!(live, vec![(0, 2), (1, 0)]);
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&golden_dir_copy);
+}
+
+#[test]
+fn wal_log_format_is_pinned() {
+    // One frame of each record kind, exactly as `PartitionWal::append`
+    // writes them.
+    let records = [
+        StreamRecord::Basic {
+            item: 3,
+            prob: 0.625,
+        },
+        StreamRecord::Alternatives(vec![(1, 0.25), (300, 0.5)]),
+        StreamRecord::ValueDistribution {
+            item: 12,
+            entries: vec![(2.0, 0.5), (5.0, 0.25)],
+        },
+    ];
+    let bytes: Vec<u8> = records
+        .iter()
+        .flat_map(|r| wal::frame_record(r).unwrap())
+        .collect();
+    check_golden("wal.log", &bytes);
+    // The fixture still decodes to the same records.
+    let fixture = std::fs::read(golden_dir().join("wal.log")).unwrap();
+    assert_eq!(wal::decode_log(&fixture).unwrap(), records);
 }

@@ -27,7 +27,7 @@ use pds_core::error::PdsError;
 use pds_core::metrics::ErrorMetric;
 use pds_core::stream::StreamRecord;
 use pds_core::vfs::fault::{self, ErrorClass, FaultSpec};
-use pds_store::{CompactionPolicy, PartitionSpec, StoreConfig, SynopsisKind, SynopsisStore};
+use pds_store::{wal, CompactionPolicy, PartitionSpec, StoreConfig, SynopsisKind, SynopsisStore};
 
 const N: usize = 24;
 const PARTS: usize = 2;
@@ -232,14 +232,16 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Bit-flipping any non-final WAL frame aborts the reopen with every
-    /// file intact (the final frame is the documented torn-tail window and
-    /// is covered by the deterministic tests in `wal.rs`).
+    /// Bit-flipping any non-final WAL frame — anywhere in it, its length
+    /// header included — aborts the reopen with every file intact (the
+    /// final frame's torn-tail window is covered by the deterministic tests
+    /// in `wal.rs`).
     #[test]
     fn corrupted_wal_frames_fail_reopen_cleanly(
         records in prop::collection::vec((0..N, 0.01f64..0.9), 4..30),
-        line_frac in 0.0f64..1.0,
-        flip_bit in 0usize..7,
+        frame_frac in 0.0f64..1.0,
+        byte_frac in 0.0f64..1.0,
+        flip_bit in 0usize..8,
         case in 0u64..u64::MAX,
     ) {
         let dir = unique_dir("wal-corrupt", case);
@@ -257,36 +259,35 @@ proptest! {
             .map(|p| dir.join(format!("wal-{p}.log")))
             .find(|p| std::fs::metadata(p).map(|m| m.len() > 0).unwrap_or(false))
             .expect("some partition logged records");
-        let text = std::fs::read_to_string(&log_path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
+        let log = std::fs::read(&log_path).unwrap();
+        // Frame boundaries: the log is exactly its records' frames.
+        let frames: Vec<Vec<u8>> = wal::decode_log(&log)
+            .unwrap()
+            .iter()
+            .map(|r| wal::frame_record(r).unwrap())
+            .collect();
+        prop_assert_eq!(&frames.concat(), &log);
         // With a single frame the flip would land in the torn-tail window,
         // which the deterministic `wal.rs` tests cover; corrupt mid-file
         // only when there is a mid-file.
-        if lines.len() >= 2 {
-            // Flip one character of a non-final frame (never the newline).
-            let target = ((lines.len() - 1) as f64 * line_frac) as usize;
-            let target = target.min(lines.len() - 2);
-            let line = lines[target];
-            let col = line.len() / 2;
-            let mut corrupt_line = line.as_bytes().to_vec();
-            corrupt_line[col] ^= 1u8 << flip_bit;
-            let mut rebuilt: Vec<String> = Vec::new();
-            for (i, l) in lines.iter().enumerate() {
-                rebuilt.push(if i == target {
-                    String::from_utf8_lossy(&corrupt_line).into_owned()
-                } else {
-                    (*l).to_string()
-                });
-            }
-            std::fs::write(&log_path, format!("{}\n", rebuilt.join("\n"))).unwrap();
+        if frames.len() >= 2 {
+            let target = (((frames.len() - 1) as f64 * frame_frac) as usize).min(frames.len() - 2);
+            let start: usize = frames[..target].iter().map(Vec::len).sum();
+            let len = frames[target].len();
+            let pos = start + ((len as f64 * byte_frac) as usize).min(len - 1);
+            let mut corrupt = log.clone();
+            corrupt[pos] ^= 1u8 << flip_bit;
+            std::fs::write(&log_path, &corrupt).unwrap();
             let result = SynopsisStore::open_with_wal(config(), &dir);
             prop_assert!(
                 result.is_err(),
-                "a corrupt mid-file frame must abort the reopen ({:?})",
-                log_path
+                "a corrupt mid-file frame must abort the reopen ({:?} byte {} bit {})",
+                log_path,
+                pos,
+                flip_bit
             );
             // The scan is read-only: the corrupt file survives.
-            prop_assert!(log_path.exists());
+            prop_assert_eq!(std::fs::read(&log_path).unwrap(), corrupt);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
