@@ -19,7 +19,7 @@
 //! frequency `b̄ = Σ_i E[g_i]/n_b` (Fact 1).
 
 use pds_core::model::ProbabilisticRelation;
-use pds_core::moments::item_moments;
+use pds_core::moments::{item_moments, ItemMoments};
 
 use super::{BucketCostOracle, BucketSolution};
 
@@ -82,6 +82,30 @@ impl SseOracle {
         Self::with_tuple_mode(relation, objective, TupleSseMode::PrefixArrays)
     }
 
+    /// Builds the oracle from per-item moments alone, for items whose
+    /// frequencies are mutually independent (the basic and value pdf
+    /// models): Eq. (5)'s `Var[Σ g_i]` is then `Σ Var[g_i]`, so no tuple
+    /// structure is needed.
+    pub fn from_moments(moments: &[ItemMoments], objective: SseObjective) -> Self {
+        let n = moments.len();
+        let mut prefix_mean = vec![0.0; n + 1];
+        let mut prefix_ex2 = vec![0.0; n + 1];
+        let mut prefix_var = vec![0.0; n + 1];
+        for (i, m) in moments.iter().enumerate() {
+            prefix_mean[i + 1] = prefix_mean[i] + m.mean;
+            prefix_ex2[i + 1] = prefix_ex2[i] + m.second_moment;
+            prefix_var[i + 1] = prefix_var[i] + m.variance;
+        }
+        SseOracle {
+            n,
+            objective,
+            prefix_mean,
+            prefix_ex2,
+            prefix_var,
+            tuple: None,
+        }
+    }
+
     /// Builds the oracle choosing how tuple-pdf covariances are handled.
     pub fn with_tuple_mode(
         relation: &ProbabilisticRelation,
@@ -89,17 +113,8 @@ impl SseOracle {
         mode: TupleSseMode,
     ) -> Self {
         let n = relation.n();
-        let moments = item_moments(relation);
-        let mut prefix_mean = vec![0.0; n + 1];
-        let mut prefix_ex2 = vec![0.0; n + 1];
-        let mut prefix_var = vec![0.0; n + 1];
-        for i in 0..n {
-            prefix_mean[i + 1] = prefix_mean[i] + moments[i].mean;
-            prefix_ex2[i + 1] = prefix_ex2[i] + moments[i].second_moment;
-            prefix_var[i + 1] = prefix_var[i] + moments[i].variance;
-        }
-
-        let tuple = match (objective, relation) {
+        let mut oracle = Self::from_moments(&item_moments(relation), objective);
+        oracle.tuple = match (objective, relation) {
             (SseObjective::PaperEq5, ProbabilisticRelation::TuplePdf(m))
                 if !relation.items_independent() =>
             {
@@ -134,15 +149,7 @@ impl SseOracle {
             }
             _ => None,
         };
-
-        SseOracle {
-            n,
-            objective,
-            prefix_mean,
-            prefix_ex2,
-            prefix_var,
-            tuple,
-        }
+        oracle
     }
 
     /// The objective this oracle evaluates.

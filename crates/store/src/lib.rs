@@ -10,11 +10,16 @@
 //! 1. **Ingest** — arriving [`StreamRecord`]s (any of the three uncertainty
 //!    models) are routed to the item-range partition that owns them and
 //!    buffered in that partition's [`Memtable`], which keeps exact expected
-//!    frequencies incrementally so live data stays queryable.
+//!    frequencies (so live data stays queryable) and per-item variances
+//!    incrementally.
 //! 2. **Seal** — when a memtable reaches the configured threshold it is
-//!    sealed into an immutable [`Segment`]: the buffered records become a
-//!    probabilistic relation and the configured synopsis (histogram via the
-//!    batched-sweep DP, or an SSE-optimal wavelet) is built over it.
+//!    sealed into an immutable [`Segment`] carrying the configured synopsis
+//!    (histogram via the batched-sweep DP, or an SSE-optimal wavelet).  One
+//!    `match` on (synopsis kind, buffer content) picks the input: the
+//!    wavelet reads the expected frequencies, the SSE histogram over
+//!    independent items reads the moment sums, and only x-tuple buffers
+//!    without value pdfs and the non-SSE metrics turn the records into a
+//!    probabilistic relation first.
 //! 3. **Compact** — segments of one partition are recombined by summing
 //!    their piecewise-constant estimates on the union of their boundaries
 //!    and re-running the merge DP.  A size-tiered [`CompactionPolicy`]

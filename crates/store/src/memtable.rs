@@ -1,13 +1,50 @@
 //! The mutable ingest buffer of one partition.
+//!
+//! A [`Memtable`] keeps three things, all maintained at insert:
+//!
+//! * the buffered **records** in arrival order, item ids localised to the
+//!   partition — what a WAL replay must reproduce, and what the seals that
+//!   need the full uncertainty model read;
+//! * two per-item **moment sums**: `E[g_i]` (which also answers live range
+//!   queries) and `Var[g_i]` with every contribution folded as independent
+//!   — a basic record adds `p(1−p)`, an x-tuple `p(1−p)` per alternative,
+//!   a value pdf `Σv²p − (Σvp)²`.  That is exactly the independent fold
+//!   [`Memtable::to_relation`] performs once a value pdf is present;
+//! * **counts** of the value-pdf and x-tuple records, which name the model
+//!   the buffer needs.
+//!
+//! **One seal `match`** on (synopsis kind, buffer content) turns a frozen
+//! memtable into a segment (`Memtable::build_segment`):
+//!
+//! | kind | buffer | built from |
+//! |---|---|---|
+//! | `Wavelet` | any | `E[g_i]` alone (Theorem 7 reads nothing else) |
+//! | `Histogram(Sse)` | a value-pdf record, or no x-tuple | the moment sums, through `SseOracle::from_moments` (Eq. (5) over independent items) |
+//! | everything else | x-tuples without a value pdf (Eq. (5) needs their covariance arrays); the non-SSE metrics | [`Memtable::to_relation`] and [`Segment::build`] |
+//!
+//! The first two rows read what the relation would have yielded: bitwise
+//! for basic-only buffers, and up to rounding otherwise (a convolved pdf
+//! sums the same moments in another order, and the tuple model merges an
+//! x-tuple's repeated item before adding it).  A seal thus costs what its
+//! synopsis reads, not one pdf convolution per buffered record.
 
 use pds_core::error::{PdsError, Result};
+use pds_core::metrics::ErrorMetric;
 use pds_core::model::{BasicModel, ProbabilisticRelation, TuplePdfModel, ValuePdf, ValuePdfModel};
+use pds_core::moments::ItemMoments;
 use pds_core::stream::StreamRecord;
+use pds_histogram::optimal_histogram;
+use pds_histogram::oracle::sse::{SseObjective, SseOracle};
+use pds_wavelet::build_sse_wavelet_from_means;
+
+use crate::segment::{Segment, SegmentSynopsis, SynopsisKind};
 
 /// The in-memory write buffer of one item-range partition: arriving records
 /// are appended (with their global item ids localised to the partition) and
-/// the exact per-item expected frequencies are maintained incrementally, so
-/// live un-sealed data answers range queries without scanning the buffer.
+/// the per-item expected frequencies and variances are maintained
+/// incrementally, so live un-sealed data answers range queries without
+/// scanning the buffer and most seals never revisit it (see the module
+/// docs).
 #[derive(Debug, Clone)]
 pub struct Memtable {
     /// First global item of the partition.
@@ -17,6 +54,12 @@ pub struct Memtable {
     /// Exact expected frequency per local item (expectation is linear, so
     /// every record kind contributes a closed-form increment).
     expected: Vec<f64>,
+    /// Frequency variance per local item, every contribution independent.
+    variance: Vec<f64>,
+    /// Number of buffered value-pdf records.
+    value_records: usize,
+    /// Number of buffered x-tuple records.
+    tuple_records: usize,
 }
 
 impl Memtable {
@@ -27,6 +70,9 @@ impl Memtable {
             start,
             records: Vec::new(),
             expected: vec![0.0; width],
+            variance: vec![0.0; width],
+            value_records: 0,
+            tuple_records: 0,
         }
     }
 
@@ -56,6 +102,17 @@ impl Memtable {
         &self.expected
     }
 
+    /// The per-item moments the SSE seal reads (local indexing): the
+    /// expected frequency and the variance sum of the module docs, with
+    /// `E[g_i²] = Var[g_i] + E[g_i]²`.
+    pub fn moments(&self) -> Vec<ItemMoments> {
+        self.expected
+            .iter()
+            .zip(&self.variance)
+            .map(|(&mean, &variance)| ItemMoments::from_mean_variance(mean, variance))
+            .collect()
+    }
+
     /// The buffered records in arrival order (item ids localised to the
     /// partition) — what a WAL replay must reproduce exactly, which the
     /// durability suites assert against.
@@ -75,36 +132,49 @@ impl Memtable {
                 domain: end,
             });
         }
-        // Localise and fold the expectation increment.
         let local = match record {
-            StreamRecord::Basic { item, prob } => {
-                self.expected[item - self.start] += prob;
-                StreamRecord::Basic {
-                    item: item - self.start,
-                    prob,
-                }
-            }
-            StreamRecord::Alternatives(alts) => {
-                let alts: Vec<(usize, f64)> = alts
-                    .into_iter()
-                    .map(|(i, p)| {
-                        self.expected[i - self.start] += p;
-                        (i - self.start, p)
-                    })
-                    .collect();
+            StreamRecord::Basic { item, prob } => StreamRecord::Basic {
+                item: item - self.start,
+                prob,
+            },
+            StreamRecord::Alternatives(mut alts) => {
+                alts.iter_mut().for_each(|(item, _)| *item -= self.start);
                 StreamRecord::Alternatives(alts)
             }
-            StreamRecord::ValueDistribution { item, entries } => {
-                self.expected[item - self.start] +=
-                    entries.iter().map(|&(v, p)| v * p).sum::<f64>();
-                StreamRecord::ValueDistribution {
-                    item: item - self.start,
-                    entries,
+            StreamRecord::ValueDistribution { item, entries } => StreamRecord::ValueDistribution {
+                item: item - self.start,
+                entries,
+            },
+        };
+        self.push(local);
+        Ok(())
+    }
+
+    /// Folds a validated, localised record into the sums and counts, then
+    /// appends it.
+    fn push(&mut self, record: StreamRecord) {
+        match &record {
+            StreamRecord::Basic { item, prob } => self.add_bernoulli(*item, *prob),
+            StreamRecord::Alternatives(alts) => {
+                self.tuple_records += 1;
+                for &(item, prob) in alts {
+                    self.add_bernoulli(item, prob);
                 }
             }
-        };
-        self.records.push(local);
-        Ok(())
+            StreamRecord::ValueDistribution { item, entries } => {
+                self.value_records += 1;
+                let mean = entries.iter().map(|&(v, p)| v * p).sum::<f64>();
+                let second = entries.iter().map(|&(v, p)| v * v * p).sum::<f64>();
+                self.expected[*item] += mean;
+                self.variance[*item] += (second - mean * mean).max(0.0);
+            }
+        }
+        self.records.push(record);
+    }
+
+    fn add_bernoulli(&mut self, item: usize, prob: f64) {
+        self.expected[item] += prob;
+        self.variance[item] += prob * (1.0 - prob);
     }
 
     /// Exact expected total frequency over the **global** inclusive item
@@ -132,15 +202,7 @@ impl Memtable {
     ///   crate level).
     pub fn to_relation(&self) -> Result<ProbabilisticRelation> {
         let n = self.width();
-        let has_value = self
-            .records
-            .iter()
-            .any(|r| matches!(r, StreamRecord::ValueDistribution { .. }));
-        let has_tuple = self
-            .records
-            .iter()
-            .any(|r| matches!(r, StreamRecord::Alternatives(_)));
-        if has_value {
+        if self.value_records > 0 {
             let mut pdfs = vec![ValuePdf::zero(); n];
             for record in &self.records {
                 match record {
@@ -158,7 +220,7 @@ impl Memtable {
                 }
             }
             Ok(ValuePdfModel::new(pdfs).into())
-        } else if has_tuple {
+        } else if self.tuple_records > 0 {
             let tuples = self.records.iter().map(|record| match record {
                 StreamRecord::Basic { item, prob } => vec![(*item, *prob)],
                 StreamRecord::Alternatives(alts) => alts.clone(),
@@ -174,30 +236,54 @@ impl Memtable {
         }
     }
 
+    /// Seals the buffer into a segment of `kind` with `budget`
+    /// buckets/coefficients — the one seal `match` of the module docs.
+    pub(crate) fn build_segment(&self, kind: SynopsisKind, budget: usize) -> Result<Segment> {
+        let records = self.len() as u64;
+        let synopsis = match kind {
+            SynopsisKind::Wavelet => {
+                SegmentSynopsis::Wavelet(build_sse_wavelet_from_means(&self.expected, budget)?)
+            }
+            SynopsisKind::Histogram(ErrorMetric::Sse)
+                if self.value_records > 0 || self.tuple_records == 0 =>
+            {
+                let oracle = SseOracle::from_moments(&self.moments(), SseObjective::PaperEq5);
+                SegmentSynopsis::Histogram(optimal_histogram(&oracle, budget)?)
+            }
+            _ => return Segment::build(self.start, records, &self.to_relation()?, kind, budget),
+        };
+        Segment::new(self.start, records, synopsis)
+    }
+
     /// Empties the buffer (called after the records were sealed into a
     /// segment), keeping the partition range.
     pub fn clear(&mut self) {
         self.records.clear();
         self.expected.iter_mut().for_each(|v| *v = 0.0);
+        self.variance.iter_mut().for_each(|v| *v = 0.0);
+        self.value_records = 0;
+        self.tuple_records = 0;
     }
 
     /// Prepends an `older` buffer of the same partition (its records come
     /// first, as they arrived first) — the undo path when a frozen memtable
     /// could not be sealed and its records must rejoin the live buffer.
+    /// This buffer's records are refolded after the older ones, so every
+    /// sum is bitwise what inserting the whole sequence in order (a WAL
+    /// replay) produces.
     ///
     /// # Panics
     ///
     /// Panics when the two memtables cover different partition ranges.
-    pub fn absorb_front(&mut self, mut older: Memtable) {
+    pub fn absorb_front(&mut self, older: Memtable) {
         assert_eq!(
             (self.start, self.width()),
             (older.start, older.width()),
             "absorb_front requires matching partition ranges"
         );
-        std::mem::swap(&mut self.records, &mut older.records);
-        self.records.append(&mut older.records);
-        for (mine, theirs) in self.expected.iter_mut().zip(&older.expected) {
-            *mine += theirs;
+        let newer = std::mem::replace(self, older);
+        for record in newer.records {
+            self.push(record);
         }
     }
 }
@@ -205,6 +291,10 @@ impl Memtable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pds_core::moments::item_moments;
+    use pds_histogram::{evaluate::expected_cost, Histogram};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn expected_frequencies_track_all_record_kinds() {
@@ -283,6 +373,176 @@ mod tests {
         }
     }
 
+    /// A seeded buffer of `records` records drawn from `kinds` (0 basic, 1
+    /// x-tuple, 2 value pdf) over `width` items starting at global item 5.
+    /// A mix with x-tuples also gets one naming an item twice, and a mix
+    /// with value pdfs one repeating a value.
+    fn seeded_buffer(seed: u64, kinds: &[u32], width: usize, records: usize) -> Memtable {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut m = Memtable::new(5, width);
+        let item = |rng: &mut StdRng| 5 + rng.gen_range(0..width);
+        for _ in 0..records {
+            let record = match kinds[rng.gen_range(0..kinds.len())] {
+                0 => StreamRecord::Basic {
+                    item: item(&mut rng),
+                    prob: if rng.gen_bool(0.1) {
+                        1.0
+                    } else {
+                        rng.gen_range(0.01..1.0)
+                    },
+                },
+                1 => {
+                    let (a, b) = (item(&mut rng), item(&mut rng));
+                    StreamRecord::Alternatives(vec![
+                        (a, rng.gen_range(0.01..0.5)),
+                        (b, rng.gen_range(0.01..0.5)),
+                    ])
+                }
+                _ => StreamRecord::ValueDistribution {
+                    item: item(&mut rng),
+                    entries: vec![
+                        (rng.gen_range(1..4u32) as f64, rng.gen_range(0.01..0.4)),
+                        (
+                            rng.gen_range(4..7u32) as f64 / 2.0,
+                            rng.gen_range(0.01..0.4),
+                        ),
+                    ],
+                },
+            };
+            m.insert(record).unwrap();
+        }
+        if kinds.contains(&1) {
+            m.insert(StreamRecord::Alternatives(vec![(5, 0.25), (5, 0.375)]))
+                .unwrap();
+        }
+        if kinds.contains(&2) {
+            m.insert(StreamRecord::ValueDistribution {
+                item: 5 + width - 1,
+                entries: vec![(2.0, 0.25), (2.0, 0.125), (3.0, 0.25)],
+            })
+            .unwrap();
+        }
+        m
+    }
+
+    fn relation_path(m: &Memtable, kind: SynopsisKind, budget: usize) -> Segment {
+        Segment::build(
+            m.start(),
+            m.len() as u64,
+            &m.to_relation().unwrap(),
+            kind,
+            budget,
+        )
+        .unwrap()
+    }
+
+    fn histogram(segment: &Segment) -> &Histogram {
+        match segment.synopsis() {
+            SegmentSynopsis::Histogram(h) => h,
+            SegmentSynopsis::Wavelet(_) => panic!("expected a histogram segment"),
+        }
+    }
+
+    const SSE: SynopsisKind = SynopsisKind::Histogram(ErrorMetric::Sse);
+
+    #[test]
+    fn basic_only_seals_are_bitwise_the_relation_path() {
+        for (seed, width) in [(1u64, 1usize), (2, 7), (3, 16), (4, 37)] {
+            let m = seeded_buffer(seed, &[0], width, 6 * width);
+            assert_eq!(m.to_relation().unwrap().model_name(), "basic");
+            for kind in [SSE, SynopsisKind::Wavelet] {
+                for budget in [1, 3, 8, width] {
+                    let budget = budget.min(width);
+                    let sealed = m.build_segment(kind, budget).unwrap();
+                    assert_eq!(
+                        sealed.to_binary().unwrap(),
+                        relation_path(&m, kind, budget).to_binary().unwrap(),
+                        "seed {seed} {kind:?} budget {budget}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_buffer_moments_match_the_relation_moments() {
+        for seed in 0..20u64 {
+            let m = seeded_buffer(seed, &[0, 1, 2], 12, 60);
+            let relation = m.to_relation().unwrap();
+            assert_eq!(relation.model_name(), "value-pdf");
+            let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs());
+            for (i, (mine, theirs)) in m.moments().iter().zip(item_moments(&relation)).enumerate() {
+                assert!(close(mine.mean, theirs.mean), "seed {seed} item {i}");
+                assert!(
+                    close(mine.variance, theirs.variance),
+                    "seed {seed} item {i}"
+                );
+                assert!(
+                    close(mine.second_moment, theirs.second_moment),
+                    "seed {seed} item {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_buffer_seals_match_the_relation_path_in_cost_and_boundaries() {
+        for seed in 0..20u64 {
+            let m = seeded_buffer(seed, &[0, 1, 2], 24, 80);
+            let relation = m.to_relation().unwrap();
+            for budget in [2, 5, 9] {
+                let sealed = m.build_segment(SSE, budget).unwrap();
+                let reference = relation_path(&m, SSE, budget);
+                let (new, old) = (histogram(&sealed), histogram(&reference));
+                let span = |h: &Histogram| -> Vec<(usize, usize)> {
+                    h.buckets().iter().map(|b| (b.start, b.end)).collect()
+                };
+                assert_eq!(span(new), span(old), "seed {seed} budget {budget}");
+                let new_cost = expected_cost(&relation, ErrorMetric::Sse, new);
+                let old_cost = expected_cost(&relation, ErrorMetric::Sse, old);
+                assert!(
+                    (new_cost - old_cost).abs() <= 1e-9 * old_cost.abs(),
+                    "seed {seed} budget {budget}: {new_cost} vs {old_cost}"
+                );
+            }
+            // The non-SSE metrics are the relation path itself.
+            let sae = SynopsisKind::Histogram(ErrorMetric::Sae);
+            assert_eq!(
+                m.build_segment(sae, 4).unwrap().to_binary().unwrap(),
+                relation_path(&m, sae, 4).to_binary().unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn tuple_buffers_without_value_pdfs_seal_through_the_relation_path() {
+        for seed in 0..10u64 {
+            let m = seeded_buffer(seed, &[0, 1], 16, 50);
+            assert_eq!(m.to_relation().unwrap().model_name(), "tuple-pdf");
+            for budget in [1, 4, 16] {
+                assert_eq!(
+                    m.build_segment(SSE, budget).unwrap().to_binary().unwrap(),
+                    relation_path(&m, SSE, budget).to_binary().unwrap(),
+                    "seed {seed} budget {budget}"
+                );
+            }
+        }
+    }
+
+    /// Bit patterns of every moment, for bitwise comparisons.
+    fn moment_bits(m: &Memtable) -> Vec<[u64; 3]> {
+        m.moments()
+            .iter()
+            .map(|x| {
+                [
+                    x.mean.to_bits(),
+                    x.variance.to_bits(),
+                    x.second_moment.to_bits(),
+                ]
+            })
+            .collect()
+    }
+
     #[test]
     fn absorb_front_prepends_records_and_sums_expectations() {
         let mut older = Memtable::new(4, 4);
@@ -308,17 +568,38 @@ mod tests {
             }
         );
         assert!((newer.range_sum(4, 7) - 0.75).abs() < 1e-12);
+        assert_eq!(newer.variance, [0.25, 0.1875, 0.0, 0.0]);
+
+        // Mixed buffers: the absorbed sums and counts are bitwise those of
+        // one memtable that took every record in order.
+        let all = seeded_buffer(7, &[0, 1, 2], 8, 40);
+        let (first, second) = all.records().split_at(17);
+        let refill = |records: &[StreamRecord]| {
+            let mut m = Memtable::new(all.start(), all.width());
+            records.iter().for_each(|r| m.push(r.clone()));
+            m
+        };
+        let mut absorbed = refill(second);
+        absorbed.absorb_front(refill(first));
+        assert_eq!(absorbed.records(), all.records());
+        assert_eq!(moment_bits(&absorbed), moment_bits(&all));
+        assert_eq!(
+            (absorbed.value_records, absorbed.tuple_records),
+            (all.value_records, all.tuple_records)
+        );
     }
 
     #[test]
     fn clear_resets_the_buffer_but_keeps_the_range() {
-        let mut m = Memtable::new(5, 2);
-        m.insert(StreamRecord::Basic { item: 6, prob: 0.9 })
-            .unwrap();
+        let mut m = seeded_buffer(3, &[0, 1, 2], 2, 10);
+        assert!(m.value_records > 0 && m.tuple_records > 0);
         m.clear();
         assert!(m.is_empty());
         assert_eq!(m.start(), 5);
         assert_eq!(m.width(), 2);
         assert_eq!(m.range_sum(0, 100), 0.0);
+        assert_eq!(m.variance, [0.0, 0.0]);
+        assert_eq!((m.value_records, m.tuple_records), (0, 0));
+        assert_eq!(m.to_relation().unwrap().model_name(), "basic");
     }
 }

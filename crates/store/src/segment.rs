@@ -79,6 +79,12 @@ impl Segment {
 
     /// Seals a relation into a segment by building the configured synopsis
     /// with `budget` buckets/coefficients.
+    ///
+    /// A store seal comes here only for the buffers whose synopsis needs
+    /// the full model — x-tuples without a value pdf, and the non-SSE
+    /// metrics; the SSE histogram and the wavelet over everything else are
+    /// built from the memtable's moment sums (see the memtable module's
+    /// seal `match`), which this function's output is the reference for.
     pub fn build(
         start: usize,
         records: u64,

@@ -24,8 +24,10 @@
 //! **One seal sequence, never under a shard guard.**  A memtable becomes a
 //! segment in exactly one way: it is *frozen* under the shard write lock (an
 //! `O(1)` swap and, with a WAL, one file rename), the guard drops, the
-//! thread that froze it builds the segment and commits it durably (blob,
-//! then manifest entry) with **no lock held**, and a short write lock swaps
+//! thread that froze it builds the segment — from the memtable's moment
+//! sums unless the synopsis needs the full model (the memtable module's
+//! seal `match`) — and commits it durably (blob, then manifest entry) with
+//! **no lock held**, and a short write lock swaps
 //! the segment in — or, on failure, returns the records to the live
 //! memtable.  An ingest call that reaches the seal threshold runs that
 //! sequence itself before inserting the rest of its sub-batch, so seal *k*
@@ -48,13 +50,12 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockWriteGuard};
 use pds_core::binio::{ByteReader, ByteWriter};
 use pds_core::error::{PdsError, Result};
 use pds_core::metrics::ErrorMetric;
-use pds_core::model::ValuePdfModel;
 use pds_core::pool;
 use pds_core::stream::StreamRecord;
 use pds_core::telemetry::Stopwatch;
 use pds_core::vfs;
 use pds_histogram::merge::optimal_piecewise_histogram;
-use pds_wavelet::build_sse_wavelet;
+use pds_wavelet::build_sse_wavelet_from_means;
 use serde::{Deserialize, Serialize};
 
 use crate::compaction::CompactionPolicy;
@@ -951,19 +952,14 @@ impl SynopsisStore {
         }))
     }
 
-    /// Builds the configured synopsis segment from a frozen memtable.
+    /// Builds the configured synopsis segment from a frozen memtable — from
+    /// its moment sums where the synopsis reads nothing else (the memtable
+    /// module's seal `match`).
     fn build_task(inner: &StoreInner, task: &SealTask) -> Result<Segment> {
         crashpoint::reached("frozen-pre-build");
         let sw = Stopwatch::start();
-        let relation = task.memtable.to_relation()?;
         let budget = inner.config.segment_budget.min(task.memtable.width());
-        let segment = Segment::build(
-            task.memtable.start(),
-            task.memtable.len() as u64,
-            &relation,
-            inner.config.synopsis,
-            budget,
-        )?;
+        let segment = task.memtable.build_segment(inner.config.synopsis, budget)?;
         inner.telemetry.record_seal_build(sw);
         Ok(segment)
     }
@@ -1239,8 +1235,7 @@ impl SynopsisStore {
                     .iter()
                     .flat_map(|piece| std::iter::repeat_n(piece.value, piece.width))
                     .collect();
-                let relation = ValuePdfModel::deterministic(&dense).into();
-                SegmentSynopsis::Wavelet(build_sse_wavelet(&relation, budget)?)
+                SegmentSynopsis::Wavelet(build_sse_wavelet_from_means(&dense, budget)?)
             }
         };
         let records = task.inputs.iter().map(|(_, h)| h.records()).sum();
@@ -1988,10 +1983,25 @@ pub(crate) mod tests {
         .collect();
         store.ingest_batch(records).unwrap();
         store.seal_all().unwrap();
+        let sealed: Vec<Vec<Segment>> = (0..2).map(|p| store.segments(p)).collect();
         store.compact_all().unwrap();
         for p in 0..2 {
             assert_eq!(store.segments(p).len().min(1), store.segments(p).len());
         }
+        // Re-thresholding from the summed estimate vector is bitwise the
+        // deterministic-relation build it replaced.
+        let layers: Vec<Vec<_>> = sealed[0].iter().map(Segment::pieces).collect();
+        assert!(layers.len() >= 2, "partition 0 compacted");
+        let dense: Vec<f64> = pds_histogram::sum_pieces(&layers)
+            .unwrap()
+            .iter()
+            .flat_map(|piece| std::iter::repeat_n(piece.value, piece.width))
+            .collect();
+        let relation = pds_core::model::ValuePdfModel::deterministic(&dense).into();
+        assert_eq!(
+            store.segments(0)[0].synopsis(),
+            &SegmentSynopsis::Wavelet(pds_wavelet::build_sse_wavelet(&relation, 4).unwrap())
+        );
         let merged = store.merge_global(6).unwrap();
         assert_eq!(merged.n(), 16);
         let bytes = store.to_binary().unwrap();

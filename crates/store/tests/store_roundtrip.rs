@@ -7,8 +7,10 @@ use proptest::prelude::*;
 use pds_core::metrics::ErrorMetric;
 use pds_core::model::{BasicModel, ProbabilisticRelation};
 use pds_core::stream::StreamRecord;
-use pds_histogram::build_histogram;
-use pds_store::{PartitionSpec, Segment, StoreConfig, SynopsisKind, SynopsisStore};
+use pds_histogram::{build_histogram, expected_cost, Histogram};
+use pds_store::{
+    Memtable, PartitionSpec, Segment, SegmentSynopsis, StoreConfig, SynopsisKind, SynopsisStore,
+};
 
 const N: usize = 24;
 
@@ -135,6 +137,117 @@ proptest! {
         let seg_bytes = segment.to_binary().unwrap();
         let seg_cut = ((seg_bytes.len() as f64 * cut_frac) as usize).min(seg_bytes.len() - 1);
         prop_assert!(Segment::from_binary(&seg_bytes[..seg_cut]).is_err());
+    }
+
+    /// Seal equivalence: a store seal reads the memtable's moment sums, and
+    /// builds what `Segment::build` builds from the buffer's relation —
+    /// bitwise for basic-only and tuple-without-value-pdf buffers; with
+    /// value pdfs, the same bucket boundaries and an expected SSE within
+    /// 1e-9 relative.
+    #[test]
+    fn seals_match_the_relation_path(
+        records in record_stream(60),
+        basic_only in 0usize..2,
+        budget in 1usize..8,
+    ) {
+        let records: Vec<StreamRecord> = if basic_only == 1 {
+            records
+                .into_iter()
+                .map(|r| match r {
+                    StreamRecord::Alternatives(alts) => StreamRecord::Basic {
+                        item: alts[0].0,
+                        prob: alts[0].1,
+                    },
+                    StreamRecord::ValueDistribution { item, entries } => StreamRecord::Basic {
+                        item,
+                        prob: entries[0].1,
+                    },
+                    basic => basic,
+                })
+                .collect()
+        } else {
+            records
+        };
+        let mut memtable = Memtable::new(0, N);
+        for r in &records {
+            memtable.insert(r.clone()).unwrap();
+        }
+        let relation = memtable.to_relation().unwrap();
+        for kind in [SynopsisKind::Histogram(ErrorMetric::Sse), SynopsisKind::Wavelet] {
+            let store = SynopsisStore::new(StoreConfig::new(
+                PartitionSpec::uniform(N, 1).unwrap(),
+                usize::MAX >> 1,
+                budget,
+                kind,
+            ))
+            .unwrap();
+            store.ingest_batch(records.iter().cloned()).unwrap();
+            store.seal_all().unwrap();
+            let sealed = &store.segments(0)[0];
+            let reference =
+                Segment::build(0, records.len() as u64, &relation, kind, budget).unwrap();
+            if relation.model_name() != "value-pdf" {
+                prop_assert_eq!(sealed.to_binary().unwrap(), reference.to_binary().unwrap());
+                continue;
+            }
+            let (SegmentSynopsis::Histogram(new), SegmentSynopsis::Histogram(old)) =
+                (sealed.synopsis(), reference.synopsis())
+            else {
+                continue;
+            };
+            let spans = |h: &Histogram| -> Vec<(usize, usize)> {
+                h.buckets().iter().map(|b| (b.start, b.end)).collect()
+            };
+            prop_assert_eq!(spans(new), spans(old));
+            let new_cost = expected_cost(&relation, ErrorMetric::Sse, new);
+            let old_cost = expected_cost(&relation, ErrorMetric::Sse, old);
+            prop_assert!(
+                (new_cost - old_cost).abs() <= 1e-9 * old_cost.abs(),
+                "{} vs {}", new_cost, old_cost
+            );
+        }
+    }
+
+    /// Reopening a durable store replays each live WAL tail into a
+    /// memtable whose moment sums are bitwise those the live store held.
+    #[test]
+    fn wal_replay_rebuilds_moments_bitwise(
+        records in record_stream(80),
+        parts in 1usize..4,
+        threshold in 4usize..40,
+    ) {
+        let dir = std::env::temp_dir()
+            .join(format!("pds-roundtrip-moments-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = StoreConfig::new(
+            PartitionSpec::uniform(N, parts).unwrap(),
+            threshold,
+            4,
+            SynopsisKind::Histogram(ErrorMetric::Sse),
+        );
+        let bits = |store: &SynopsisStore| -> Vec<Vec<[u64; 3]>> {
+            (0..parts)
+                .map(|p| {
+                    store
+                        .memtable_snapshot(p)
+                        .moments()
+                        .iter()
+                        .map(|m| {
+                            [m.mean.to_bits(), m.variance.to_bits(), m.second_moment.to_bits()]
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        let live = {
+            let store = SynopsisStore::open_with_wal(config.clone(), &dir).unwrap();
+            store.ingest_batch(records).unwrap();
+            bits(&store)
+        };
+        let reopened = SynopsisStore::open_with_wal(config, &dir).unwrap();
+        prop_assert_eq!(bits(&reopened), live);
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The sharded pipeline (per-partition segments merged into a global

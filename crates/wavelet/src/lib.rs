@@ -46,7 +46,10 @@ pub mod synopsis;
 pub use baselines::{sampled_world_selection, sampled_world_wavelet, synopsis_from_selection};
 pub use haar::{ErrorTree, HaarTransform};
 pub use nonsse::{build_restricted_wavelet, expected_wavelet_cost, RestrictedWavelet};
-pub use sse::{build_sse_wavelet, selection_error_percentage, ExpectedCoefficients};
+pub use sse::{
+    build_sse_wavelet, build_sse_wavelet_from_means, selection_error_percentage,
+    ExpectedCoefficients,
+};
 pub use synopsis::{RetainedCoefficient, WaveletSynopsis};
 
 #[cfg(test)]

@@ -57,19 +57,28 @@ impl ExpectedCoefficients {
     }
 }
 
-/// Indices of the `b` largest-magnitude entries of `values`, deterministic
-/// under ties.
+/// Indices of the `b` largest-magnitude entries of `values`, in ascending
+/// index order, deterministic under ties.
+///
+/// The order `|value|` descending, then index ascending, is a strict total
+/// order, so a linear-time selection of the `b` first indices followed by a
+/// sort of only those `b` yields exactly what a full sort would.
 pub fn top_indices_by_magnitude(values: &[f64], b: usize) -> Vec<usize> {
+    if b == 0 {
+        return Vec::new();
+    }
     let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&a, &bi| {
-        values[bi]
-            .abs()
-            .partial_cmp(&values[a].abs())
-            .expect("finite coefficients")
-            .then(a.cmp(&bi))
-    });
-    idx.truncate(b.min(values.len()));
-    idx.sort_unstable();
+    if b < idx.len() {
+        idx.select_nth_unstable_by(b - 1, |&a, &bi| {
+            values[bi]
+                .abs()
+                .partial_cmp(&values[a].abs())
+                .expect("finite coefficients")
+                .then(a.cmp(&bi))
+        });
+        idx.truncate(b);
+        idx.sort_unstable();
+    }
     idx
 }
 
@@ -77,17 +86,23 @@ pub fn top_indices_by_magnitude(values: &[f64], b: usize) -> Vec<usize> {
 /// (Theorem 7): the `b` largest expected normalised coefficients, retained at
 /// their expected (unnormalised) values.
 pub fn build_sse_wavelet(relation: &ProbabilisticRelation, b: usize) -> Result<WaveletSynopsis> {
-    let coeffs = ExpectedCoefficients::of(relation);
-    let indices = coeffs.top_indices(b);
-    let unnorm = coeffs.unnormalised();
-    let retained = indices
+    build_sse_wavelet_from_means(&relation.expected_frequencies(), b)
+}
+
+/// [`build_sse_wavelet`] from the expected frequencies alone: Theorem 7
+/// reads nothing else of the relation, so a caller that keeps `E[g_i]`
+/// incrementally never materialises one.
+pub fn build_sse_wavelet_from_means(means: &[f64], b: usize) -> Result<WaveletSynopsis> {
+    let transform = HaarTransform::forward(means);
+    let unnorm = transform.unnormalised();
+    let retained = top_indices_by_magnitude(transform.normalised(), b)
         .into_iter()
         .map(|index| RetainedCoefficient {
             index,
             value: unnorm[index],
         })
         .collect();
-    WaveletSynopsis::new(relation.n(), retained)
+    WaveletSynopsis::new(means.len(), retained)
 }
 
 /// The exact expected SSE of an arbitrary wavelet synopsis over the relation,
@@ -141,6 +156,44 @@ mod tests {
         assert_eq!(top_indices_by_magnitude(&values, 2), vec![1, 4]);
         assert_eq!(top_indices_by_magnitude(&values, 0), Vec::<usize>::new());
         assert_eq!(top_indices_by_magnitude(&values, 10).len(), 5);
+    }
+
+    #[test]
+    fn selection_equals_the_full_sort_under_ties_and_zeros() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let full_sort = |values: &[f64], b: usize| {
+            let mut idx: Vec<usize> = (0..values.len()).collect();
+            idx.sort_by(|&a, &bi| {
+                values[bi]
+                    .abs()
+                    .partial_cmp(&values[a].abs())
+                    .unwrap()
+                    .then(a.cmp(&bi))
+            });
+            idx.truncate(b.min(values.len()));
+            idx.sort_unstable();
+            idx
+        };
+        let mut rng = StdRng::seed_from_u64(29);
+        for case in 0..10_000 {
+            let len = rng.gen_range(0..40usize);
+            // Few distinct magnitudes of both signs, plus zeros: ties
+            // everywhere, so the index tie-break decides most selections.
+            let values: Vec<f64> = (0..len)
+                .map(|_| match rng.gen_range(0..4u32) {
+                    0 => 0.0,
+                    1 => -(rng.gen_range(1..4u32) as f64),
+                    2 => rng.gen_range(1..4u32) as f64,
+                    _ => rng.gen::<f64>() - 0.5,
+                })
+                .collect();
+            let b = rng.gen_range(0..len + 3);
+            assert_eq!(
+                top_indices_by_magnitude(&values, b),
+                full_sort(&values, b),
+                "case {case}: b={b} values={values:?}"
+            );
+        }
     }
 
     #[test]
