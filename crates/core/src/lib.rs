@@ -19,11 +19,10 @@
 //! * streaming-ingest records in all three models plus seeded record streams
 //!   ([`stream`]), and the binary envelope primitives behind the compact
 //!   persistent synopsis format ([`binio`]);
-//! * a scoped thread pool ([`pool`]) with `parallel_map`/`parallel_chunks`
-//!   helpers — the single place where worker-thread policy (the
-//!   `PDS_THREADS` environment variable, the programmatic override, the
-//!   hardware default) is resolved for every parallel path in the
-//!   workspace;
+//! * a scoped thread pool ([`pool`]) with its `parallel_map` helper — the
+//!   single place where worker-thread policy (the `PDS_THREADS` environment
+//!   variable, the programmatic override, the hardware default) is resolved
+//!   for every parallel path in the workspace;
 //! * lock-free observability primitives ([`telemetry`]): atomic counters,
 //!   gauges, log₂-bucketed latency histograms, a Prometheus-style text
 //!   exposition registry, and a bounded event ring — the recording path

@@ -1,52 +1,50 @@
 //! A small scoped thread pool for data-parallel construction work.
 //!
-//! Every parallel path in the workspace (the exact-DP endpoint sweeps, the
-//! store's per-partition seals, compactions and merge piece extraction)
-//! funnels through the two helpers here, so thread-count policy lives in
-//! exactly one place.  (The store's batch ingest is *not* one of them: it
-//! inserts on the calling thread — a pooled dispatch measured 0.81–1.12x.)
+//! Every parallel path in the workspace (the store's per-partition seals,
+//! compactions and merge piece extraction) funnels through [`parallel_map`],
+//! so thread-count policy lives in exactly one place.  (Neither the store's
+//! batch ingest nor the exact histogram DP is one of them: ingest inserts on
+//! the calling thread — a pooled dispatch measured 0.81–1.12x — and the DP's
+//! pruned argmin scan runs on the calling thread too.)
 //!
 //! * [`parallel_map`] — apply a function to every element of an owned `Vec`,
-//!   returning results in input order;
-//! * [`parallel_chunks`] — split an index range `[0, len)` into contiguous
-//!   chunks and apply a function to each, returning per-chunk results in
-//!   chunk order.
+//!   returning results in input order.
 //!
 //! ## Thread-count resolution
 //!
 //! [`num_threads`] resolves, in priority order: the process-wide programmatic
 //! override ([`set_num_threads`]), the `PDS_THREADS` environment variable
 //! (read once, at first use), and finally
-//! [`std::thread::available_parallelism`].  Each helper also has a `*_with`
-//! variant taking an explicit thread count, which is what deterministic
-//! serial-vs-parallel equivalence tests use (the global override would leak
-//! between concurrently running tests).
+//! [`std::thread::available_parallelism`].  [`parallel_map_with`] takes an
+//! explicit thread count, which is what deterministic serial-vs-parallel
+//! equivalence tests use (the global override would leak between
+//! concurrently running tests).
 //!
 //! ## Scoping and panic-propagation contract
 //!
-//! Both helpers are built on [`std::thread::scope`]:
+//! [`parallel_map`] is built on [`std::thread::scope`]:
 //!
 //! * **Scoping.**  Worker threads never outlive the call: every borrow passed
 //!   in lives at least as long as the helper invocation, so closures may
 //!   capture `&T` of the caller's locals without `'static` bounds or `Arc`s.
 //!   No threads are pooled between calls — spawn cost is a few microseconds
-//!   per worker and the helpers are meant for coarse-grained work (whole DP
-//!   levels, whole partition seals), where that cost is noise.
+//!   per worker and the helper is meant for coarse-grained work (whole
+//!   partition seals), where that cost is noise.
 //! * **Panic propagation.**  If a worker closure panics, the panic payload is
 //!   re-raised on the calling thread when the scope joins (the behaviour of
 //!   `std::thread::scope` itself); no result is returned and no panic is
-//!   swallowed.  Helpers never unwind while holding internal locks other
+//!   swallowed.  The helper never unwinds while holding internal locks other
 //!   than the work-distribution mutex, whose poisoning cannot outlive the
 //!   call.
 //! * **Determinism.**  Work is distributed dynamically (an atomic cursor over
-//!   fixed chunk boundaries) for load balance, but results are reassembled
+//!   the elements) for load balance, but results are reassembled
 //!   in input order, so the output is independent of scheduling.  Callers
 //!   whose per-element work is itself deterministic therefore get identical
 //!   results at every thread count — the property the serial-vs-concurrent
 //!   store equivalence suite pins.
 //!
-//! With a resolved thread count of 1 (or trivially small inputs) the helpers
-//! degenerate to a plain serial loop on the calling thread — no threads are
+//! With a resolved thread count of 1 (or trivially small inputs) the helper
+//! degenerates to a plain serial loop on the calling thread — no threads are
 //! spawned, so single-thread performance matches hand-written serial code.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -60,13 +58,13 @@ static ENV_THREADS: OnceLock<Option<usize>> = OnceLock::new();
 
 /// Sets the process-wide worker-thread count used by [`num_threads`].
 /// `Some(n)` forces `n` (clamped to at least 1); `None` restores the
-/// environment/hardware default.  Prefer the explicit `*_with` helpers in
+/// environment/hardware default.  Prefer [`parallel_map_with`] in
 /// tests — this override is global.
 pub fn set_num_threads(threads: Option<usize>) {
     THREAD_OVERRIDE.store(threads.map_or(0, |n| n.max(1)), Ordering::SeqCst);
 }
 
-/// The worker-thread count parallel helpers use by default: the
+/// The worker-thread count [`parallel_map`] uses by default: the
 /// [`set_num_threads`] override if set, else the `PDS_THREADS` environment
 /// variable (read once at first use), else
 /// [`std::thread::available_parallelism`] (1 if unavailable).
@@ -159,75 +157,6 @@ where
         .collect()
 }
 
-/// Splits `[0, len)` into contiguous chunks of at least `min_chunk` indices
-/// (the final chunk may be smaller) and applies `f` to each chunk range on
-/// [`num_threads`] workers, returning per-chunk results in chunk order.
-pub fn parallel_chunks<R, F>(len: usize, min_chunk: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(std::ops::Range<usize>) -> R + Sync,
-{
-    parallel_chunks_with(num_threads(), len, min_chunk, f)
-}
-
-/// [`parallel_chunks`] with an explicit worker-thread count (1 runs serially
-/// on the calling thread).
-pub fn parallel_chunks_with<R, F>(threads: usize, len: usize, min_chunk: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(std::ops::Range<usize>) -> R + Sync,
-{
-    let threads = threads.max(1);
-    if len == 0 {
-        return Vec::new();
-    }
-    let min_chunk = min_chunk.max(1);
-    if threads == 1 || len <= min_chunk {
-        return vec![f(0..len)];
-    }
-    // At most 4 chunks per worker keeps dynamic balancing useful without
-    // drowning small inputs in chunk overhead.
-    let max_chunks = threads * 4;
-    let chunk = min_chunk.max(len.div_ceil(max_chunks));
-    let num_chunks = len.div_ceil(chunk);
-    let cursor = AtomicUsize::new(0);
-    let mut collected: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads.min(num_chunks))
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let c = cursor.fetch_add(1, Ordering::Relaxed);
-                        if c >= num_chunks {
-                            break;
-                        }
-                        let range = c * chunk..((c + 1) * chunk).min(len);
-                        out.push((c, f(range)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                // Re-raise the worker's own panic payload so the original
-                // message survives (the module-level contract).
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
-    });
-    let mut ordered: Vec<Option<R>> = (0..num_chunks).map(|_| None).collect();
-    for (c, r) in collected.drain(..).flatten() {
-        ordered[c] = Some(r);
-    }
-    ordered
-        .into_iter()
-        .map(|r| r.expect("every chunk produced exactly one result"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,31 +179,6 @@ mod tests {
             let parallel =
                 parallel_map_with(threads, (0..500).collect(), |i: usize| (i as f64).sqrt());
             assert_eq!(serial, parallel);
-        }
-    }
-
-    #[test]
-    fn parallel_chunks_tile_the_range_exactly_once() {
-        for (threads, len, min_chunk) in [(1, 10, 1), (4, 1000, 16), (3, 17, 5), (8, 64, 64)] {
-            let chunks = parallel_chunks_with(threads, len, min_chunk, |r| r);
-            let mut next = 0usize;
-            for r in &chunks {
-                assert_eq!(r.start, next, "threads={threads} len={len}");
-                assert!(r.end > r.start);
-                next = r.end;
-            }
-            assert_eq!(next, len);
-        }
-        assert!(parallel_chunks_with(4, 0, 8, |r| r).is_empty());
-    }
-
-    #[test]
-    fn parallel_chunks_respect_min_chunk() {
-        let chunks = parallel_chunks_with(8, 100, 40, |r| r.len());
-        for (i, &len) in chunks.iter().enumerate() {
-            if i + 1 < chunks.len() {
-                assert!(len >= 40);
-            }
         }
     }
 

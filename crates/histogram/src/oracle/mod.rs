@@ -59,24 +59,21 @@ pub struct BucketSolution {
 }
 
 /// A bucket-cost oracle for one error metric over one probabilistic relation.
-///
-/// Oracles are required to be [`Sync`]: the exact DP shards its
-/// `costs_ending_at` sweeps over endpoint chunks running on the scoped
-/// thread pool (`pds_core::pool`), so several worker threads query one
-/// oracle concurrently through `&self`.  Every oracle in this crate is a
-/// plain preprocessed-table struct, so the bound is free; an oracle needing
-/// interior mutability must synchronise it internally.
-pub trait BucketCostOracle: Sync {
+pub trait BucketCostOracle {
     /// Domain size `n` of the underlying relation.
     fn n(&self) -> usize;
 
     /// Optimal representative and cost of the bucket spanning the inclusive
     /// item range `[s, e]` (0-based, `s <= e < n`).
+    ///
+    /// The cost is finite and `≥ 0`.  The exact DP's pruned argmin scan
+    /// relies on this and on nothing else about the costs (see
+    /// [`crate::dp`]).
     fn bucket(&self, s: usize, e: usize) -> BucketSolution;
 
     /// Batched sweep: costs of every bucket `[starts[k], e]` for an
     /// ascending list of start positions (`starts[k] <= e` for all `k`);
-    /// `out[k] == bucket(starts[k], e).cost`.
+    /// `out[k] == bucket(starts[k], e).cost`, so each is finite and `≥ 0`.
     ///
     /// Both dynamic programs call this once per right endpoint (the exact DP
     /// with every start, the approximate DP with its thinned candidate
@@ -114,8 +111,9 @@ pub trait BucketCostOracle: Sync {
     /// of non-negative per-item terms, and for the exact expected per-world
     /// sample variance.  The one exception is the paper's tuple-pdf SSE
     /// prefix-array *approximation*, whose covariance estimate can dip when a
-    /// tuple straddles the bucket boundary.  The approximate DP only applies
-    /// its cost-based early exit when this returns `true`.
+    /// tuple straddles the bucket boundary.  Only the approximate DP reads
+    /// this: it applies its cost-based early exit when it returns `true`.
+    /// The exact DP's pruning needs no monotonicity.
     fn costs_monotone(&self) -> bool {
         true
     }
@@ -163,5 +161,158 @@ impl BucketCostOracle for Box<dyn BucketCostOracle> {
 
     fn costs_monotone(&self) -> bool {
         self.as_ref().costs_monotone()
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::merge::{Piece, PiecewiseConstantOracle};
+    use pds_core::generator::{mystiq_like, MystiqLikeConfig};
+    use pds_core::model::{BasicModel, TuplePdfModel, ValuePdf, ValuePdfModel};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use sse::{SseObjective, SseOracle, TupleSseMode};
+
+    /// Relations over `n` items that stress the cost contract: all zeros,
+    /// runs of identical probabilistic items, piecewise-constant
+    /// deterministic data, frequencies spanning 1e-12 to 1e12, tuple-pdf
+    /// alternatives that straddle every bucket boundary, and a seeded
+    /// `mystiq_like` input.
+    pub(crate) fn adversarial_relations(
+        n: usize,
+        seed: u64,
+    ) -> Vec<(&'static str, ProbabilisticRelation)> {
+        let decade = |i: usize| 10f64.powi((i % 25) as i32 - 12);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let straddling: Vec<Vec<(usize, f64)>> = (0..2 * n)
+            .map(|t| {
+                let item = t % n;
+                let far = (item + rng.gen_range(1usize..5)).min(n - 1);
+                vec![(item, rng.gen_range(0.1..0.5)), (far, 0.35)]
+            })
+            .collect();
+        vec![
+            ("zeros", ValuePdfModel::deterministic(&vec![0.0; n]).into()),
+            (
+                "runs",
+                BasicModel::from_pairs(
+                    n,
+                    (0..n).flat_map(|i| {
+                        let p = [0.2, 0.9, 0.5][(i / 7) % 3];
+                        [(i, p), (i, p / 2.0)]
+                    }),
+                )
+                .expect("valid basic tuples")
+                .into(),
+            ),
+            (
+                "piecewise",
+                ValuePdfModel::deterministic(
+                    &(0..n)
+                        .map(|i| [3.0, 0.0, 11.0, 3.0][(i / 5) % 4])
+                        .collect::<Vec<_>>(),
+                )
+                .into(),
+            ),
+            (
+                "wide",
+                ValuePdfModel::from_sparse(
+                    n,
+                    (0..n).map(|i| {
+                        let pdf = ValuePdf::new([(decade(7 * i), 0.6), (decade(11 * i + 3), 0.3)]);
+                        (i, pdf.expect("valid value pdf"))
+                    }),
+                )
+                .expect("valid value pdfs")
+                .into(),
+            ),
+            (
+                "straddling",
+                TuplePdfModel::from_alternatives(n, straddling)
+                    .expect("valid tuples")
+                    .into(),
+            ),
+            (
+                "mystiq",
+                mystiq_like(MystiqLikeConfig {
+                    n,
+                    avg_tuples_per_item: 2.5,
+                    skew: 0.8,
+                    seed,
+                })
+                .into(),
+            ),
+        ]
+    }
+
+    /// Every oracle of the crate over `relation`: SSE under both objectives
+    /// and both tuple modes, SSRE, SAE, SARE, MAE, MARE, and the piecewise
+    /// merge oracle over the relation's expected frequencies cut into pieces
+    /// of widths 1, 2, 3, 1, 2, 3, ….
+    pub(crate) fn every_oracle(
+        relation: &ProbabilisticRelation,
+    ) -> Vec<(&'static str, Box<dyn BucketCostOracle>)> {
+        let mut pieces = Vec::new();
+        let mut values = relation.expected_frequencies().into_iter().peekable();
+        while values.peek().is_some() {
+            let run: Vec<f64> = values.by_ref().take(pieces.len() % 3 + 1).collect();
+            pieces.push(Piece {
+                width: run.len(),
+                value: run.iter().sum::<f64>() / run.len() as f64,
+            });
+        }
+        let mut oracles: Vec<(&'static str, Box<dyn BucketCostOracle>)> = vec![
+            (
+                "sse-exact",
+                Box::new(SseOracle::with_tuple_mode(
+                    relation,
+                    SseObjective::PaperEq5,
+                    TupleSseMode::Exact,
+                )),
+            ),
+            (
+                "sse-fixed",
+                Box::new(SseOracle::new(relation, SseObjective::FixedRepresentative)),
+            ),
+            (
+                "piecewise",
+                Box::new(PiecewiseConstantOracle::new(&pieces).expect("finite pieces")),
+            ),
+        ];
+        for (name, metric) in [
+            ("sse", ErrorMetric::Sse),
+            ("ssre", ErrorMetric::Ssre { c: 0.5 }),
+            ("sae", ErrorMetric::Sae),
+            ("sare", ErrorMetric::Sare { c: 1.0 }),
+            ("mae", ErrorMetric::Mae),
+            ("mare", ErrorMetric::Mare { c: 0.5 }),
+        ] {
+            oracles.push((name, oracle_for_metric(relation, metric)));
+        }
+        oracles
+    }
+
+    #[test]
+    fn every_oracle_returns_finite_non_negative_costs_on_adversarial_relations() {
+        for n in [1, 40] {
+            for (relation_name, relation) in adversarial_relations(n, 7) {
+                for (name, oracle) in every_oracle(&relation) {
+                    for e in 0..oracle.n() {
+                        let starts: Vec<usize> = (0..=e).collect();
+                        let swept = oracle.costs_ending_at(e, &starts);
+                        for (s, &swept_cost) in swept.iter().enumerate() {
+                            let cost = oracle.bucket(s, e).cost;
+                            for c in [cost, swept_cost] {
+                                assert!(
+                                    c.is_finite() && c >= 0.0,
+                                    "{name} on {relation_name} (n={n}) [{s},{e}]: {c}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -52,7 +52,7 @@
 //! |-------------------|-----------------|--------------------------------------------|
 //! | `.`               | `probsyn`       | umbrella re-exports, [`prelude`], [`aqp`]  |
 //! | `crates/core`     | `pds-core`      | uncertainty models, worlds, moments, generators, stream records, binary-envelope primitives, scoped thread pool (`pds_core::pool`), lock-free telemetry primitives (`pds_core::telemetry`) |
-//! | `crates/histogram`| `pds-histogram` | bucket-cost oracles, DP (serial + level-parallel), `(1+ε)` approximation, partition-merge DP |
+//! | `crates/histogram`| `pds-histogram` | bucket-cost oracles, exact DP (single-threaded pruned argmin scan), `(1+ε)` approximation, partition-merge DP |
 //! | `crates/wavelet`  | `pds-wavelet`   | Haar transform, SSE and non-SSE thresholding |
 //! | `crates/store`    | `pds-store`     | concurrent sharded ingest memtables, off-lock sealing, per-partition WALs, compaction, store persistence, pipeline telemetry (counters/histograms/events, always on) |
 //! | `crates/server`   | `pds-server`    | TCP query/ingest front-end over the store's in-place, consistent-cut reads (`EST`/`RANGE`/`STATS [JSON]`/`MERGE`/`INGEST`/`METRICS`/admin verbs), worker pool over `pds_core::pool`, per-verb request telemetry |
@@ -63,11 +63,11 @@
 //!
 //! Every parallel path resolves its worker count through `pds_core::pool`
 //! (the `PDS_THREADS` environment variable, `pool::set_num_threads`, or the
-//! hardware default): the exact DP's level-parallel build and the store's
-//! `seal_all`/`compact_all`/`merge_global`.  The store owns no threads of
-//! its own: an ingest call inserts its batch on the calling thread, a seal
-//! runs on the caller that froze the memtable (off the shard lock), and
-//! concurrency beyond the pool comes from callers sharing one
+//! hardware default): the store's `seal_all`/`compact_all`/`merge_global`.
+//! The exact histogram DP runs on the calling thread.  The store owns no
+//! threads of its own: an ingest call inserts its batch on the calling
+//! thread, a seal runs on the caller that froze the memtable (off the shard
+//! lock), and concurrency beyond the pool comes from callers sharing one
 //! `SynopsisStore`.  All pool paths are
 //! **deterministic** — identical outputs (bit-for-bit) at every thread
 //! count — so parallelism is a pure throughput knob, pinned by the
