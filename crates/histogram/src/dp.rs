@@ -10,7 +10,9 @@
 //! ```
 //!
 //! with `h = +` for cumulative metrics and `h = max` for maximum-error
-//! metrics, is evaluated with `O(B n²)` bucket-cost lookups.  The DP is
+//! metrics, is evaluated with `O(B n²)` bucket-cost lookups — `O(B m²)` for
+//! a store seal, whose DP runs over the `m` zero-run cuts of its support
+//! instead of its `n` items ([`crate::sse_histogram_from_moments`]).  The DP is
 //! generic over a [`BucketCostOracle`]; bucket costs for a fixed right
 //! endpoint are obtained in one batch via
 //! [`BucketCostOracle::costs_ending_at`] so that oracles with cross-item
@@ -237,7 +239,7 @@ pub fn optimal_histogram<O: BucketCostOracle + ?Sized>(oracle: &O, b: usize) -> 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::oracle::sse::{SseObjective, SseOracle};
     use crate::oracle::tests::{adversarial_relations, every_oracle};
@@ -463,7 +465,7 @@ mod tests {
 
     /// Split points the unpruned scan visits: `j − b + 2` per cell `(j, b)`
     /// with `2 ≤ b ≤ min(b_max, j + 1)`.
-    fn full_scan_count(n: usize, b_max: usize) -> usize {
+    pub(crate) fn full_scan_count(n: usize, b_max: usize) -> usize {
         (0..n)
             .map(|j| (2..=b_max.min(j + 1)).map(|b| j + 2 - b).sum::<usize>())
             .sum()
@@ -527,7 +529,7 @@ mod tests {
     /// tuples over a 1 024-item partition, each batch in a 128-item band
     /// skewed towards its start (`u²`), the band advancing 2 items per batch
     /// from `band_start` — about 230 items carry mass.
-    fn banded_seal_moments(band_start: usize) -> Vec<ItemMoments> {
+    pub(crate) fn banded_seal_moments(band_start: usize) -> Vec<ItemMoments> {
         let mut mean = vec![0.0; 1024];
         let mut variance = vec![0.0; 1024];
         let mut rng = StdRng::seed_from_u64(11);

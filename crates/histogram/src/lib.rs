@@ -18,8 +18,10 @@
 //! | maximum absolute error (MAE) | [`oracle::maxerr::MaxErrOracle`] | §3.6, Thm 6 |
 //! | maximum absolute relative error (MARE) | [`oracle::maxerr::MaxErrOracle`] | §3.6, Thm 6 |
 //!
-//! On top of the oracles sit the exact dynamic program ([`dp`]), the
-//! `(1 + ε)`-approximate construction ([`approx`], §3.5), the deterministic
+//! On top of the oracles sit the exact dynamic program ([`dp`]) — run over
+//! zero-run cuts for SSE histograms of per-item moments
+//! ([`sse_histogram_from_moments`]) — the `(1 + ε)`-approximate construction
+//! ([`approx`], §3.5), the deterministic
 //! heuristics used as experimental baselines ([`baselines`]) and the
 //! expected-cost evaluator ([`evaluate`]).
 //!
@@ -51,6 +53,7 @@
 
 pub mod approx;
 pub mod baselines;
+mod cuts;
 pub mod dp;
 pub mod equidepth;
 pub mod evaluate;
@@ -63,6 +66,7 @@ pub use baselines::{
     baseline_histogram, deterministic_histogram, expectation_histogram, sampled_world_histogram,
     BaselineKind,
 };
+pub use cuts::sse_histogram_from_moments;
 pub use dp::{optimal_histogram, DpTables};
 pub use equidepth::equidepth_histogram;
 pub use evaluate::{error_percentage, expected_cost, sse_paper_cost};

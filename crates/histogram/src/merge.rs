@@ -16,15 +16,19 @@
 //! representative, weighted by piece width.  The recorded bucket costs (and
 //! the merged histogram's `total_cost`) therefore measure the additional
 //! error introduced by re-bucketing the summary, **not** the end-to-end
-//! error against the original probabilistic data.  The end-to-end error is
-//! bounded by the per-partition synopsis error plus this merge-stage error
-//! (both are SSE against nested refinements), which is what the
-//! merged-vs-monolithic integration check exercises.
+//! error against the original probabilistic data.  The two do not add: with
+//! `g` the data, `h` the summary and `m` the merged histogram, the cross
+//! term `2⟨E[g] − h, h − m⟩` of the squared error vanishes only when `h` is
+//! the bucket-mean projection of `E[g]`, which a compacted sum of segments
+//! is not.  What holds is Minkowski's inequality,
+//! `√E‖g − m‖² ≤ √E‖g − h‖² + ‖h − m‖`: the roots add.  The
+//! merged-vs-monolithic integration check exercises the end-to-end error.
 
 use pds_core::error::{PdsError, Result};
 
+use crate::cuts::to_item_coordinates;
 use crate::dp::DpTables;
-use crate::histogram::{Bucket, Histogram};
+use crate::histogram::Histogram;
 use crate::oracle::{BucketCostOracle, BucketSolution};
 
 /// One piece of a piecewise-constant summary: `width` consecutive items
@@ -90,11 +94,6 @@ impl PiecewiseConstantOracle {
         })
     }
 
-    /// Number of items covered by all pieces together.
-    pub fn total_items(&self) -> usize {
-        *self.item_start.last().expect("non-empty")
-    }
-
     /// The global item index at which piece `p` starts.
     pub fn item_start(&self, p: usize) -> usize {
         self.item_start[p]
@@ -125,18 +124,7 @@ pub fn optimal_piecewise_histogram(pieces: &[Piece], b: usize) -> Result<Histogr
     let oracle = PiecewiseConstantOracle::new(pieces)?;
     let tables = DpTables::build(&oracle, b)?;
     let piece_level = tables.extract(b.min(oracle.n()), &oracle)?;
-    // Re-express piece-index buckets as item-index buckets.
-    let buckets = piece_level
-        .buckets()
-        .iter()
-        .map(|bk| Bucket {
-            start: oracle.item_start(bk.start),
-            end: oracle.item_start(bk.end + 1) - 1,
-            representative: bk.representative,
-            cost: bk.cost,
-        })
-        .collect();
-    Histogram::new(oracle.total_items(), buckets)
+    to_item_coordinates(&piece_level, &oracle.item_start)
 }
 
 /// The pieces of one histogram: its buckets, in order.

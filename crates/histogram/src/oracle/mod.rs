@@ -167,9 +167,11 @@ impl BucketCostOracle for Box<dyn BucketCostOracle> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::cuts::ZeroRunCuts;
     use crate::merge::{Piece, PiecewiseConstantOracle};
     use pds_core::generator::{mystiq_like, MystiqLikeConfig};
     use pds_core::model::{BasicModel, TuplePdfModel, ValuePdf, ValuePdfModel};
+    use pds_core::moments::item_moments;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sse::{SseObjective, SseOracle, TupleSseMode};
@@ -247,9 +249,10 @@ pub(crate) mod tests {
     }
 
     /// Every oracle of the crate over `relation`: SSE under both objectives
-    /// and both tuple modes, SSRE, SAE, SARE, MAE, MARE, and the piecewise
+    /// and both tuple modes, SSRE, SAE, SARE, MAE, MARE, the piecewise
     /// merge oracle over the relation's expected frequencies cut into pieces
-    /// of widths 1, 2, 3, 1, 2, 3, ….
+    /// of widths 1, 2, 3, 1, 2, 3, …, and the seal's zero-run-cuts adapter
+    /// over the relation's item moments.
     pub(crate) fn every_oracle(
         relation: &ProbabilisticRelation,
     ) -> Vec<(&'static str, Box<dyn BucketCostOracle>)> {
@@ -278,6 +281,13 @@ pub(crate) mod tests {
             (
                 "piecewise",
                 Box::new(PiecewiseConstantOracle::new(&pieces).expect("finite pieces")),
+            ),
+            (
+                "sse-cuts",
+                Box::new(ZeroRunCuts::new(
+                    &item_moments(relation),
+                    SseObjective::PaperEq5,
+                )),
             ),
         ];
         for (name, metric) in [

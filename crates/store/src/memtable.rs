@@ -19,7 +19,7 @@
 //! | kind | buffer | built from |
 //! |---|---|---|
 //! | `Wavelet` | any | `E[g_i]` alone (Theorem 7 reads nothing else) |
-//! | `Histogram(Sse)` | a value-pdf record, or no x-tuple | the moment sums, through `SseOracle::from_moments` (Eq. (5) over independent items) |
+//! | `Histogram(Sse)` | a value-pdf record, or no x-tuple | the moment sums over zero-run cuts, through `sse_histogram_from_moments` (Eq. (5) over independent items) |
 //! | everything else | x-tuples without a value pdf (Eq. (5) needs their covariance arrays); the non-SSE metrics | [`Memtable::to_relation`] and [`Segment::build`] |
 //!
 //! The first two rows read what the relation would have yielded: bitwise
@@ -33,8 +33,8 @@ use pds_core::metrics::ErrorMetric;
 use pds_core::model::{BasicModel, ProbabilisticRelation, TuplePdfModel, ValuePdf, ValuePdfModel};
 use pds_core::moments::ItemMoments;
 use pds_core::stream::StreamRecord;
-use pds_histogram::optimal_histogram;
-use pds_histogram::oracle::sse::{SseObjective, SseOracle};
+use pds_histogram::oracle::sse::SseObjective;
+use pds_histogram::sse_histogram_from_moments;
 use pds_wavelet::build_sse_wavelet_from_means;
 
 use crate::segment::{Segment, SegmentSynopsis, SynopsisKind};
@@ -247,8 +247,11 @@ impl Memtable {
             SynopsisKind::Histogram(ErrorMetric::Sse)
                 if self.value_records > 0 || self.tuple_records == 0 =>
             {
-                let oracle = SseOracle::from_moments(&self.moments(), SseObjective::PaperEq5);
-                SegmentSynopsis::Histogram(optimal_histogram(&oracle, budget)?)
+                SegmentSynopsis::Histogram(sse_histogram_from_moments(
+                    &self.moments(),
+                    SseObjective::PaperEq5,
+                    budget,
+                )?)
             }
             _ => return Segment::build(self.start, records, &self.to_relation()?, kind, budget),
         };
@@ -292,7 +295,8 @@ impl Memtable {
 mod tests {
     use super::*;
     use pds_core::moments::item_moments;
-    use pds_histogram::{evaluate::expected_cost, Histogram};
+    use pds_histogram::oracle::sse::SseOracle;
+    use pds_histogram::{evaluate::expected_cost, optimal_histogram, Histogram};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -511,6 +515,48 @@ mod tests {
                 m.build_segment(sae, 4).unwrap().to_binary().unwrap(),
                 relation_path(&m, sae, 4).to_binary().unwrap()
             );
+        }
+    }
+
+    #[test]
+    fn banded_seals_are_bitwise_the_item_level_dp() {
+        for seed in 0..10u64 {
+            // Two copies of a mixed 40-item band in a 256-item partition:
+            // zero runs before, between and after them.
+            let band = seeded_buffer(seed, &[0, 1, 2], 40, 120);
+            let mut m = Memtable::new(5, 256);
+            for offset in [30, 170] {
+                for record in band.records() {
+                    m.push(match record.clone() {
+                        StreamRecord::Basic { item, prob } => StreamRecord::Basic {
+                            item: item + offset,
+                            prob,
+                        },
+                        StreamRecord::Alternatives(alts) => StreamRecord::Alternatives(
+                            alts.into_iter().map(|(i, p)| (i + offset, p)).collect(),
+                        ),
+                        StreamRecord::ValueDistribution { item, entries } => {
+                            StreamRecord::ValueDistribution {
+                                item: item + offset,
+                                entries,
+                            }
+                        }
+                    });
+                }
+            }
+            let item_dp = SseOracle::from_moments(&m.moments(), SseObjective::PaperEq5);
+            // Below the support's cuts, above them (padded), and one bucket
+            // per item.
+            for budget in [1, 4, 9, 32, 120, 256] {
+                let synopsis =
+                    SegmentSynopsis::Histogram(optimal_histogram(&item_dp, budget).unwrap());
+                let reference = Segment::new(m.start(), m.len() as u64, synopsis).unwrap();
+                assert_eq!(
+                    m.build_segment(SSE, budget).unwrap().to_binary().unwrap(),
+                    reference.to_binary().unwrap(),
+                    "seed {seed} budget {budget}"
+                );
+            }
         }
     }
 
