@@ -1,4 +1,5 @@
-//! Byte-pinned golden fixtures for the on-disk formats: `PDSG` (segment),
+//! Byte-pinned golden fixtures for the on-disk formats: `PDSG` (segment,
+//! as sealed in `segment.pdsg` and as compacted in `compacted.pdsg`),
 //! `PDST` (whole store), the block-structured `PDSB` segment blob (plus a
 //! fixture of its retired v1 CRC-trailed predecessor, pinned as *rejected*),
 //! the `MANIFEST` and the WAL log's binary frames.
@@ -88,6 +89,22 @@ fn segment_pdsg_format_is_pinned() {
     // The fixture still decodes to the same segment.
     let decoded =
         Segment::from_binary(&std::fs::read(golden_dir().join("segment.pdsg")).unwrap()).unwrap();
+    assert_eq!(&decoded, segment);
+}
+
+#[test]
+fn compacted_segment_format_is_pinned() {
+    // Compaction sums partition 0's two sealed segments and re-buckets the
+    // sum with the partition-merge DP: this pins that DP's output as the
+    // disk artefact it becomes.
+    let store = fixture_store();
+    store.compact_partition(0).unwrap();
+    let segments = store.segments(0);
+    assert_eq!(segments.len(), 1);
+    let segment = &segments[0];
+    check_golden("compacted.pdsg", &segment.to_binary().unwrap());
+    let decoded =
+        Segment::from_binary(&std::fs::read(golden_dir().join("compacted.pdsg")).unwrap()).unwrap();
     assert_eq!(&decoded, segment);
 }
 
