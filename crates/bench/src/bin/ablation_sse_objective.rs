@@ -2,7 +2,9 @@
 //! per-world sample variance) versus the literal Section 2.3 objective
 //! (fixed-representative expected SSE), and — for the tuple-pdf model — the
 //! paper's prefix-array covariance formula versus the exact covariance.
-//! See DESIGN.md, "Faithfulness notes".
+//! Eq. (5) is `n_b` times the expected per-world sample variance; the
+//! fixed-representative cost exceeds it by `Var[Σ g_i]/n_b` (module doc of
+//! `pds_histogram::oracle::sse`).
 //!
 //! ```text
 //! cargo run --release -p pds-bench --bin ablation_sse_objective

@@ -1,11 +1,11 @@
 //! # pds-bench
 //!
 //! The reproduction harness regenerating every table and figure of the paper's
-//! experimental evaluation (Section 5), plus the ablation studies listed in
-//! DESIGN.md.  See EXPERIMENTS.md for the per-figure commands and the
-//! paper-vs-measured comparison.
+//! experimental evaluation (Section 5), plus the ablation studies below.
+//! Each binary's module doc gives its command; BASELINES.md records
+//! measured outputs.
 //!
-//! Binaries (all accept `--help`-free simple flags; see DESIGN.md §5):
+//! Binaries (all take the `--key value` flags of [`report::Args`]):
 //!
 //! * `example1` — the possible-worlds tables of Example 1;
 //! * `figure2`  — histogram error % vs. number of buckets, per metric;

@@ -6,8 +6,9 @@
 //! * the **tpch** workload stands in for the MayBMS uncertain TPC-H
 //!   `lineitem-partkey` relation (tuple pdf model with uniform alternatives).
 //!
-//! See DESIGN.md ("Data substitutions") for why these generators preserve the
-//! behaviour the experiments exercise.
+//! The generators ([`pds_core::generator`]) keep what the experiments
+//! exercise: a heavy-tailed, skewed expected-frequency vector and, for tpch,
+//! x-tuples whose alternatives straddle bucket boundaries.
 
 use pds_core::generator::{mystiq_like, tpch_like, MystiqLikeConfig, TpchLikeConfig};
 use pds_core::model::ProbabilisticRelation;

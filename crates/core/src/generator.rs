@@ -12,7 +12,7 @@
 //!
 //! [`mystiq_like`] and [`tpch_like`] generate data with the same shape
 //! (heavy-tailed per-item duplication, uniform-alternative x-tuples) and the
-//! same scale parameters, as recorded in DESIGN.md.  Additional generators
+//! same scale parameters (each config's `Default`).  Additional generators
 //! produce value-pdf inputs and deterministic Zipf data used by unit tests,
 //! examples and ablation benchmarks.
 

@@ -1,7 +1,7 @@
 //! The SSE histogram of independent per-item moments, built by the exact
-//! dynamic program over the cuts of the zero runs instead of over every
-//! item: a store seal costs what its support holds, not the width of its
-//! partition.
+//! dynamic program over runs — one per zero run or non-zero item — instead
+//! of over every item: a store seal costs what its support holds, not the
+//! width of its partition.  The partition merge shares its DP entry.
 
 use pds_core::error::Result;
 use pds_core::moments::ItemMoments;
@@ -9,7 +9,6 @@ use pds_core::moments::ItemMoments;
 use crate::dp::DpTables;
 use crate::histogram::{Bucket, Histogram};
 use crate::oracle::sse::{SseObjective, SseOracle};
-use crate::oracle::{BucketCostOracle, BucketSolution};
 
 /// The optimal `b`-bucket SSE histogram of items with mutually independent
 /// frequencies, given their moments: the cost of
@@ -47,9 +46,11 @@ use crate::oracle::{BucketCostOracle, BucketSolution};
 /// or item `s − 1` or item `s` non-zero.  Between consecutive cuts lies one
 /// *atom* — a non-zero item or a whole zero run.  By 3, splitting at cuts
 /// up to `min(b, m)` buckets costs nothing more, so the optimum over atom
-/// boundaries, which [`DpTables::build`] finds through a private adapter
-/// oracle (its bucket `[a, c]` is the item bucket
-/// `[cuts[a], cuts[c + 1] − 1]`), is an optimum over item boundaries.
+/// boundaries is an optimum over item boundaries.  [`DpTables::build`]
+/// finds it over [`SseOracle`] with one run per atom: a zero run adds
+/// `+0.0` to every prefix sum, so the run-level prefix sums are bitwise the
+/// item-level ones at the cuts, and the bucket of atoms `[a, c]` costs
+/// bitwise what the item bucket `[cuts[a], cuts[c + 1] − 1]` costs.
 ///
 /// When `m < min(b, n)` that optimum is every atom on its own, and the
 /// histogram is padded to exactly `min(b, n)` buckets by splitting zero-run
@@ -63,21 +64,23 @@ pub fn sse_histogram_from_moments(
     objective: SseObjective,
     b: usize,
 ) -> Result<Histogram> {
-    let atoms = ZeroRunCuts::new(moments, objective);
-    let tables = DpTables::build(&atoms, b)?;
-    let histogram = to_item_coordinates(&tables.extract(b, &atoms)?, &atoms.cuts)?;
+    let histogram = histogram_over_runs(&zero_runs(moments, objective), b)?;
     let mut spare = b.min(histogram.n()) - histogram.num_buckets();
     let mut buckets = Vec::with_capacity(histogram.num_buckets() + spare);
-    for bucket in histogram.buckets() {
-        let mut start = bucket.start;
+    for mut bucket in histogram.buckets().iter().copied() {
         if spare > 0 && moments[bucket.start..=bucket.end].iter().all(is_zero) {
-            while spare > 0 && start < bucket.end {
-                buckets.push(atoms.item_bucket(start, start));
-                start += 1;
+            while spare > 0 && bucket.start < bucket.end {
+                buckets.push(Bucket {
+                    start: bucket.start,
+                    end: bucket.start,
+                    representative: 0.0,
+                    cost: 0.0,
+                });
+                bucket.start += 1;
                 spare -= 1;
             }
         }
-        buckets.push(atoms.item_bucket(start, bucket.end));
+        buckets.push(bucket);
     }
     Histogram::new(histogram.n(), buckets)
 }
@@ -86,59 +89,24 @@ fn is_zero(moments: &ItemMoments) -> bool {
     moments.mean == 0.0 && moments.variance == 0.0 && moments.second_moment == 0.0
 }
 
-/// [`SseOracle`] over atoms: its domain is the atom index `[0, m)`, atom
-/// `a` covering the items `cuts[a] ..= cuts[a + 1] − 1`.
-pub(crate) struct ZeroRunCuts {
-    items: SseOracle,
-    /// The cuts in ascending order, then `n`.
-    cuts: Vec<usize>,
+/// [`SseOracle`] over the atoms of `moments`: one run per non-zero item and
+/// one per maximal run of zero items.  A zero run's summed moments are
+/// those of any of its items, all zero.
+pub(crate) fn zero_runs(moments: &[ItemMoments], objective: SseObjective) -> SseOracle {
+    let runs = moments
+        .chunk_by(|a, b| is_zero(a) && is_zero(b))
+        .map(|run| (run.len(), run[0]));
+    SseOracle::from_runs(runs, objective)
 }
 
-impl ZeroRunCuts {
-    pub(crate) fn new(moments: &[ItemMoments], objective: SseObjective) -> Self {
-        let n = moments.len();
-        let non_zero = |i: usize| !is_zero(&moments[i]);
-        let cuts = (0..n)
-            .filter(|&s| s == 0 || non_zero(s - 1) || non_zero(s))
-            .chain(std::iter::once(n))
-            .collect();
-        ZeroRunCuts {
-            items: SseOracle::from_moments(moments, objective),
-            cuts,
-        }
-    }
-
-    fn item_bucket(&self, start: usize, end: usize) -> Bucket {
-        let solution = self.items.bucket(start, end);
-        Bucket {
-            start,
-            end,
-            representative: solution.representative,
-            cost: solution.cost,
-        }
-    }
-}
-
-impl BucketCostOracle for ZeroRunCuts {
-    fn n(&self) -> usize {
-        self.cuts.len() - 1
-    }
-
-    fn bucket(&self, a: usize, c: usize) -> BucketSolution {
-        self.items.bucket(self.cuts[a], self.cuts[c + 1] - 1)
-    }
-
-    fn costs_ending_at(&self, c: usize, starts: &[usize]) -> Vec<f64> {
-        let starts: Vec<usize> = starts.iter().map(|&a| self.cuts[a]).collect();
-        self.items.costs_ending_at(self.cuts[c + 1] - 1, &starts)
-    }
-}
-
-/// Re-expresses a histogram over atoms — consecutive item ranges, atom `a`
-/// covering the items `starts[a] ..= starts[a + 1] − 1` — in item
-/// coordinates, keeping every representative and cost.
-pub(crate) fn to_item_coordinates(atom_level: &Histogram, starts: &[usize]) -> Result<Histogram> {
-    let buckets = atom_level
+/// The optimal `b`-bucket histogram over the runs of `runs`, in item
+/// coordinates: the bucket of runs `[a, c]` covers the items
+/// `run_starts[a] ..= run_starts[c + 1] − 1` and keeps its representative
+/// and cost.
+pub(crate) fn histogram_over_runs(runs: &SseOracle, b: usize) -> Result<Histogram> {
+    let run_level = DpTables::build(runs, b)?.extract(b, runs)?;
+    let starts = runs.run_starts();
+    let buckets = run_level
         .buckets()
         .iter()
         .map(|bucket| Bucket {
@@ -147,7 +115,7 @@ pub(crate) fn to_item_coordinates(atom_level: &Histogram, starts: &[usize]) -> R
             ..*bucket
         })
         .collect();
-    Histogram::new(starts[atom_level.n()], buckets)
+    Histogram::new(starts[run_level.n()], buckets)
 }
 
 #[cfg(test)]
@@ -155,6 +123,7 @@ mod tests {
     use super::*;
     use crate::dp::optimal_histogram;
     use crate::dp::tests::{banded_seal_moments, full_scan_count};
+    use crate::oracle::BucketCostOracle;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -215,7 +184,7 @@ mod tests {
         let (mut compared, mut differ) = (0, 0);
         for (name, moments) in inputs() {
             let n = moments.len();
-            let m = ZeroRunCuts::new(&moments, SseObjective::PaperEq5).n();
+            let m = zero_runs(&moments, SseObjective::PaperEq5).n();
             // The item-level DP is O(b n²): on the seal bands stop at the
             // store's seal budget.
             let budgets = if n > 64 {
@@ -225,6 +194,21 @@ mod tests {
             };
             for objective in [SseObjective::PaperEq5, SseObjective::FixedRepresentative] {
                 let oracle = SseOracle::from_moments(&moments, objective);
+                // Every bucket of atoms is bitwise the item bucket it covers.
+                let atoms = zero_runs(&moments, objective);
+                let cuts = atoms.run_starts();
+                for a in 0..m {
+                    for c in a..m {
+                        let (run, item) =
+                            (atoms.bucket(a, c), oracle.bucket(cuts[a], cuts[c + 1] - 1));
+                        assert_eq!(run.cost.to_bits(), item.cost.to_bits(), "{name} [{a}, {c}]");
+                        assert_eq!(
+                            run.representative.to_bits(),
+                            item.representative.to_bits(),
+                            "{name} [{a}, {c}]"
+                        );
+                    }
+                }
                 for &b in &budgets {
                     let what = format!("{name} (m = {m}) {objective:?} b = {b}");
                     let item = optimal_histogram(&oracle, b).unwrap();
@@ -254,7 +238,7 @@ mod tests {
     fn seal_shaped_bands_scan_a_twentieth_of_the_item_dp() {
         let n = 1024;
         for band_start in [0, 400, 800, 950] {
-            let atoms = ZeroRunCuts::new(&banded_seal_moments(band_start), SseObjective::PaperEq5);
+            let atoms = zero_runs(&banded_seal_moments(band_start), SseObjective::PaperEq5);
             let tables = DpTables::build(&atoms, 16).unwrap();
             let what = format!("band at {band_start} (m = {})", atoms.n());
             assert!(

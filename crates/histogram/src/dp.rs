@@ -11,8 +11,8 @@
 //!
 //! with `h = +` for cumulative metrics and `h = max` for maximum-error
 //! metrics, is evaluated with `O(B n²)` bucket-cost lookups — `O(B m²)` for
-//! a store seal, whose DP runs over the `m` zero-run cuts of its support
-//! instead of its `n` items ([`crate::sse_histogram_from_moments`]).  The DP is
+//! a seal or a merge, whose SSE oracle runs over `m` runs of items (zero
+//! runs and non-zero items, or pieces) instead of `n` items.  The DP is
 //! generic over a [`BucketCostOracle`]; bucket costs for a fixed right
 //! endpoint are obtained in one batch via
 //! [`BucketCostOracle::costs_ending_at`] so that oracles with cross-item

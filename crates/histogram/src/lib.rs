@@ -18,10 +18,10 @@
 //! | maximum absolute error (MAE) | [`oracle::maxerr::MaxErrOracle`] | §3.6, Thm 6 |
 //! | maximum absolute relative error (MARE) | [`oracle::maxerr::MaxErrOracle`] | §3.6, Thm 6 |
 //!
-//! On top of the oracles sit the exact dynamic program ([`dp`]) — run over
-//! zero-run cuts for SSE histograms of per-item moments
-//! ([`sse_histogram_from_moments`]) — the `(1 + ε)`-approximate construction
-//! ([`approx`], §3.5), the deterministic
+//! On top of the oracles sit the exact dynamic program ([`dp`]) — which a
+//! seal ([`sse_histogram_from_moments`]) and a merge ([`merge`]) both run
+//! over runs of items through the SSE oracle — the `(1 + ε)`-approximate
+//! construction ([`approx`], §3.5), the deterministic
 //! heuristics used as experimental baselines ([`baselines`]) and the
 //! expected-cost evaluator ([`evaluate`]).
 //!
@@ -71,10 +71,7 @@ pub use dp::{optimal_histogram, DpTables};
 pub use equidepth::equidepth_histogram;
 pub use evaluate::{error_percentage, expected_cost, sse_paper_cost};
 pub use histogram::{Bucket, Histogram};
-pub use merge::{
-    merge_histograms, optimal_piecewise_histogram, pieces_of, sum_pieces, Piece,
-    PiecewiseConstantOracle,
-};
+pub use merge::{merge_histograms, optimal_piecewise_histogram, pieces_of, sum_pieces, Piece};
 pub use oracle::{oracle_for_metric, BucketCostOracle, BucketSolution};
 
 use pds_core::error::Result;

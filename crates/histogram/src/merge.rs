@@ -8,8 +8,9 @@
 //! width and representative.  The merge problem is then a weighted V-optimal
 //! histogram over the pieces — the candidate cut points are exactly the
 //! partition/bucket boundaries, so the DP runs over `k = Σ Bᵢ` pieces
-//! instead of `n` items, through the same [`DpTables`]/batched
-//! [`BucketCostOracle::costs_ending_at`] machinery as the item-level build.
+//! instead of `n` items: [`SseOracle`] over one run per piece under
+//! [`SseObjective::FixedRepresentative`], the zero-variance case of the
+//! seal's oracle, through the seal's own DP entry.
 //!
 //! **Cost contract.**  Piece costs are the *merge-stage* SSE: the
 //! squared-error mass of replacing each piece value by the merged bucket's
@@ -25,11 +26,11 @@
 //! merged-vs-monolithic integration check exercises the end-to-end error.
 
 use pds_core::error::{PdsError, Result};
+use pds_core::moments::ItemMoments;
 
-use crate::cuts::to_item_coordinates;
-use crate::dp::DpTables;
+use crate::cuts::histogram_over_runs;
 use crate::histogram::Histogram;
-use crate::oracle::{BucketCostOracle, BucketSolution};
+use crate::oracle::sse::{SseObjective, SseOracle};
 
 /// One piece of a piecewise-constant summary: `width` consecutive items
 /// sharing the value `value`.
@@ -41,90 +42,41 @@ pub struct Piece {
     pub value: f64,
 }
 
-/// Weighted-SSE bucket-cost oracle over a piecewise-constant summary: the
-/// oracle's domain is the *piece index space* `[0, k)`, and the cost of a
-/// piece range is the width-weighted SSE of approximating its values by one
-/// representative.
-#[derive(Debug, Clone)]
-pub struct PiecewiseConstantOracle {
-    /// `prefix_w[i+1] = Σ_{p ≤ i} width_p`.
-    prefix_w: Vec<f64>,
-    /// `prefix_wv[i+1] = Σ_{p ≤ i} width_p · value_p`.
-    prefix_wv: Vec<f64>,
-    /// `prefix_wv2[i+1] = Σ_{p ≤ i} width_p · value_p²`.
-    prefix_wv2: Vec<f64>,
-    /// Item offset of every piece (`item_start[k]` = total item count).
-    item_start: Vec<usize>,
-}
-
-impl PiecewiseConstantOracle {
-    /// Builds the oracle over the given pieces.
-    pub fn new(pieces: &[Piece]) -> Result<Self> {
-        if pieces.is_empty() {
-            return Err(PdsError::InvalidParameter {
-                message: "a piecewise summary needs at least one piece".into(),
-            });
-        }
-        let mut prefix_w = vec![0.0; pieces.len() + 1];
-        let mut prefix_wv = vec![0.0; pieces.len() + 1];
-        let mut prefix_wv2 = vec![0.0; pieces.len() + 1];
-        let mut item_start = vec![0usize; pieces.len() + 1];
-        for (i, p) in pieces.iter().enumerate() {
-            if p.width == 0 {
-                return Err(PdsError::InvalidParameter {
-                    message: format!("piece {i} has width 0"),
-                });
-            }
-            if !p.value.is_finite() {
-                return Err(PdsError::InvalidParameter {
-                    message: format!("piece {i} has non-finite value {}", p.value),
-                });
-            }
-            let w = p.width as f64;
-            prefix_w[i + 1] = prefix_w[i] + w;
-            prefix_wv[i + 1] = prefix_wv[i] + w * p.value;
-            prefix_wv2[i + 1] = prefix_wv2[i] + w * p.value * p.value;
-            item_start[i + 1] = item_start[i] + p.width;
-        }
-        Ok(PiecewiseConstantOracle {
-            prefix_w,
-            prefix_wv,
-            prefix_wv2,
-            item_start,
-        })
-    }
-
-    /// The global item index at which piece `p` starts.
-    pub fn item_start(&self, p: usize) -> usize {
-        self.item_start[p]
-    }
-}
-
-impl BucketCostOracle for PiecewiseConstantOracle {
-    fn n(&self) -> usize {
-        self.item_start.len() - 1
-    }
-
-    fn bucket(&self, s: usize, e: usize) -> BucketSolution {
-        let w = self.prefix_w[e + 1] - self.prefix_w[s];
-        let wv = self.prefix_wv[e + 1] - self.prefix_wv[s];
-        let wv2 = self.prefix_wv2[e + 1] - self.prefix_wv2[s];
-        let representative = wv / w;
-        BucketSolution {
-            representative,
-            cost: (wv2 - wv * wv / w).max(0.0),
-        }
-    }
-}
-
 /// Builds the optimal `b`-bucket histogram of a piecewise-constant summary,
 /// returned in **item coordinates** (bucket boundaries are piece boundaries,
 /// so every cut is one of the candidate partition/bucket edges).
 pub fn optimal_piecewise_histogram(pieces: &[Piece], b: usize) -> Result<Histogram> {
-    let oracle = PiecewiseConstantOracle::new(pieces)?;
-    let tables = DpTables::build(&oracle, b)?;
-    let piece_level = tables.extract(b.min(oracle.n()), &oracle)?;
-    to_item_coordinates(&piece_level, &oracle.item_start)
+    histogram_over_runs(&piece_runs(pieces)?, b)
+}
+
+/// [`SseOracle`] over one run per piece: `w` items of the deterministic
+/// value `v` sum to the moments `(w·v, 0, (w·v)·v)`.
+pub(crate) fn piece_runs(pieces: &[Piece]) -> Result<SseOracle> {
+    if pieces.is_empty() {
+        return Err(PdsError::InvalidParameter {
+            message: "a piecewise summary needs at least one piece".into(),
+        });
+    }
+    for (i, p) in pieces.iter().enumerate() {
+        if p.width == 0 || !p.value.is_finite() {
+            return Err(PdsError::InvalidParameter {
+                message: format!("piece {i} needs a positive width and a finite value: {p:?}"),
+            });
+        }
+    }
+    let runs = pieces.iter().map(|p| {
+        let mean = p.width as f64 * p.value;
+        let moments = ItemMoments {
+            mean,
+            variance: 0.0,
+            second_moment: mean * p.value,
+        };
+        (p.width, moments)
+    });
+    Ok(SseOracle::from_runs(
+        runs,
+        SseObjective::FixedRepresentative,
+    ))
 }
 
 /// The pieces of one histogram: its buckets, in order.
@@ -203,7 +155,7 @@ pub fn sum_pieces(layers: &[Vec<Piece>]) -> Result<Vec<Piece>> {
 mod tests {
     use super::*;
     use crate::build_histogram;
-    use crate::oracle::sse::{SseObjective, SseOracle};
+    use crate::oracle::BucketCostOracle;
     use pds_core::metrics::ErrorMetric;
     use pds_core::model::{ProbabilisticRelation, ValuePdfModel};
 
@@ -216,19 +168,20 @@ mod tests {
     #[test]
     fn piece_oracle_matches_item_level_sse_on_expanded_data() {
         let ps = pieces(&[(2, 1.0), (3, 4.0), (1, 0.5), (2, 2.0)]);
-        let dense: Vec<f64> = ps
+        let dense: Vec<ItemMoments> = ps
             .iter()
-            .flat_map(|p| std::iter::repeat_n(p.value, p.width))
+            .flat_map(|p| {
+                std::iter::repeat_n(ItemMoments::from_mean_variance(p.value, 0.0), p.width)
+            })
             .collect();
-        let rel: ProbabilisticRelation = ValuePdfModel::deterministic(&dense).into();
-        let item_oracle = SseOracle::new(&rel, SseObjective::FixedRepresentative);
-        let piece_oracle = PiecewiseConstantOracle::new(&ps).unwrap();
+        let item_oracle = SseOracle::from_moments(&dense, SseObjective::FixedRepresentative);
+        let piece_oracle = piece_runs(&ps).unwrap();
+        let starts = piece_oracle.run_starts();
+        assert_eq!(starts, [0, 2, 5, 6, 8]);
         for s in 0..ps.len() {
             for e in s..ps.len() {
                 let a = piece_oracle.bucket(s, e);
-                let b = item_oracle.bucket(piece_oracle.item_start(s), {
-                    piece_oracle.item_start(e + 1) - 1
-                });
+                let b = item_oracle.bucket(starts[s], starts[e + 1] - 1);
                 assert!((a.cost - b.cost).abs() < 1e-9, "pieces [{s},{e}]");
                 assert!((a.representative - b.representative).abs() < 1e-9);
             }
@@ -290,13 +243,11 @@ mod tests {
 
     #[test]
     fn invalid_pieces_are_rejected() {
-        assert!(PiecewiseConstantOracle::new(&[]).is_err());
-        assert!(PiecewiseConstantOracle::new(&pieces(&[(0, 1.0)])).is_err());
-        assert!(PiecewiseConstantOracle::new(&[Piece {
-            width: 1,
-            value: f64::NAN
-        }])
-        .is_err());
+        assert!(optimal_piecewise_histogram(&[], 2).is_err());
+        assert!(optimal_piecewise_histogram(&pieces(&[(0, 1.0)]), 2).is_err());
+        assert!(optimal_piecewise_histogram(&pieces(&[(1, 1.0), (1, f64::NAN)]), 2).is_err());
+        assert!(optimal_piecewise_histogram(&pieces(&[(1, f64::INFINITY)]), 2).is_err());
+        assert!(optimal_piecewise_histogram(&pieces(&[(1, 1.0)]), 0).is_err());
         assert!(merge_histograms(&[], 2).is_err());
     }
 }

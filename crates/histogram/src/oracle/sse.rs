@@ -1,7 +1,7 @@
 //! Sum-squared-error bucket-cost oracle (Section 3.1 of the paper).
 //!
-//! Two flavours of the single-bucket SSE objective are supported (see
-//! DESIGN.md, "Faithfulness notes"):
+//! Two flavours of the single-bucket SSE objective are supported, since the
+//! paper's equation (5) is not the literal objective of its Section 2.3:
 //!
 //! * [`SseObjective::PaperEq5`] — the paper's equation (5):
 //!   `Σ_i E[g_i²] − E[(Σ_i g_i)²]/n_b`, i.e. `n_b` times the expected
@@ -17,6 +17,12 @@
 //!
 //! In both cases the optimal representative is the bucket's mean expected
 //! frequency `b̄ = Σ_i E[g_i]/n_b` (Fact 1).
+//!
+//! The domain is items, or *runs* of independent items, each a width and
+//! its items' summed moments: a bucket of runs costs what the items it
+//! covers cost.  A seal runs over one run per zero run or non-zero item
+//! (`sse_histogram_from_moments`), a merge over one zero-variance run per
+//! piece ([`crate::merge`]).
 
 use pds_core::model::ProbabilisticRelation;
 use pds_core::moments::{item_moments, ItemMoments};
@@ -61,8 +67,10 @@ struct TupleArrays {
 /// Sum-squared-error bucket-cost oracle.
 #[derive(Debug, Clone)]
 pub struct SseOracle {
-    n: usize,
     objective: SseObjective,
+    /// `prefix_width[e+1] = Σ_{i ≤ e} w_i` (`e + 1` over items): run `i`
+    /// starts at item `prefix_width[i]`.
+    prefix_width: Vec<usize>,
     /// `prefix_mean[e+1] = Σ_{i ≤ e} E[g_i]`.
     prefix_mean: Vec<f64>,
     /// `prefix_ex2[e+1] = Σ_{i ≤ e} E[g_i²]` (the paper's array `A`).
@@ -87,23 +95,50 @@ impl SseOracle {
     /// models): Eq. (5)'s `Var[Σ g_i]` is then `Σ Var[g_i]`, so no tuple
     /// structure is needed.
     pub fn from_moments(moments: &[ItemMoments], objective: SseObjective) -> Self {
-        let n = moments.len();
-        let mut prefix_mean = vec![0.0; n + 1];
-        let mut prefix_ex2 = vec![0.0; n + 1];
-        let mut prefix_var = vec![0.0; n + 1];
-        for (i, m) in moments.iter().enumerate() {
-            prefix_mean[i + 1] = prefix_mean[i] + m.mean;
-            prefix_ex2[i + 1] = prefix_ex2[i] + m.second_moment;
-            prefix_var[i + 1] = prefix_var[i] + m.variance;
+        Self::from_runs(moments.iter().map(|&m| (1, m)), objective)
+    }
+
+    /// Builds the oracle over *runs*, each a width `w ≥ 1` and the summed
+    /// moments of `w` consecutive independent items: the oracle's domain is
+    /// the run index, and a bucket of runs costs what the item bucket they
+    /// cover costs with the same prefix sums.
+    pub(crate) fn from_runs(
+        runs: impl IntoIterator<Item = (usize, ItemMoments)>,
+        objective: SseObjective,
+    ) -> Self {
+        // An empty run first: every prefix array starts at 0.
+        let runs = std::iter::once((0, ItemMoments::default())).chain(runs);
+        let (lower, upper) = runs.size_hint();
+        let capacity = upper.unwrap_or(lower);
+        let mut prefix_width = Vec::with_capacity(capacity);
+        let mut prefix_mean = Vec::with_capacity(capacity);
+        let mut prefix_ex2 = Vec::with_capacity(capacity);
+        let mut prefix_var = Vec::with_capacity(capacity);
+        let (mut width, mut mean, mut ex2, mut var) = (0, 0.0, 0.0, 0.0);
+        for (w, m) in runs {
+            width += w;
+            mean += m.mean;
+            ex2 += m.second_moment;
+            var += m.variance;
+            prefix_width.push(width);
+            prefix_mean.push(mean);
+            prefix_ex2.push(ex2);
+            prefix_var.push(var);
         }
         SseOracle {
-            n,
             objective,
+            prefix_width,
             prefix_mean,
             prefix_ex2,
             prefix_var,
             tuple: None,
         }
+    }
+
+    /// The first item of every run, then the item count: run `i` covers
+    /// the items `run_starts()[i] ..= run_starts()[i + 1] − 1`.
+    pub(crate) fn run_starts(&self) -> &[usize] {
+        &self.prefix_width
     }
 
     /// Builds the oracle choosing how tuple-pdf covariances are handled.
@@ -161,8 +196,13 @@ impl SseOracle {
         self.prefix_mean[e + 1] - self.prefix_mean[s]
     }
 
+    /// The item count of the bucket `[s, e]`.
+    fn width(&self, s: usize, e: usize) -> f64 {
+        (self.prefix_width[e + 1] - self.prefix_width[s]) as f64
+    }
+
     fn cost_with_sum_q2(&self, s: usize, e: usize, sum_q2: Option<f64>) -> f64 {
-        let nb = (e - s + 1) as f64;
+        let nb = self.width(s, e);
         let ex2 = self.prefix_ex2[e + 1] - self.prefix_ex2[s];
         let mean = self.mean_sum(s, e);
         let cost = match self.objective {
@@ -205,12 +245,11 @@ impl SseOracle {
 
 impl BucketCostOracle for SseOracle {
     fn n(&self) -> usize {
-        self.n
+        self.prefix_width.len() - 1
     }
 
     fn bucket(&self, s: usize, e: usize) -> BucketSolution {
-        let nb = (e - s + 1) as f64;
-        let representative = self.mean_sum(s, e) / nb;
+        let representative = self.mean_sum(s, e) / self.width(s, e);
         let cost = self.cost_with_sum_q2(s, e, self.exact_sum_q2(s, e));
         BucketSolution {
             representative,

@@ -19,7 +19,7 @@
 //! | kind | buffer | built from |
 //! |---|---|---|
 //! | `Wavelet` | any | `E[g_i]` alone (Theorem 7 reads nothing else) |
-//! | `Histogram(Sse)` | a value-pdf record, or no x-tuple | the moment sums over zero-run cuts, through `sse_histogram_from_moments` (Eq. (5) over independent items) |
+//! | `Histogram(Sse)` | a value-pdf record, or no x-tuple | the moment sums, through `sse_histogram_from_moments`: Eq. (5) over independent items, the DP over one run per zero run or non-zero item |
 //! | everything else | x-tuples without a value pdf (Eq. (5) needs their covariance arrays); the non-SSE metrics | [`Memtable::to_relation`] and [`Segment::build`] |
 //!
 //! The first two rows read what the relation would have yielded: bitwise
