@@ -99,23 +99,22 @@ pub(crate) fn zero_runs(moments: &[ItemMoments], objective: SseObjective) -> Sse
     SseOracle::from_runs(runs, objective)
 }
 
-/// The optimal `b`-bucket histogram over the runs of `runs`, in item
+/// The optimal `b`-bucket histogram of an oracle over runs, in item
 /// coordinates: the bucket of runs `[a, c]` covers the items
-/// `run_starts[a] ..= run_starts[c + 1] − 1` and keeps its representative
-/// and cost.
+/// `run_start(a) ..= run_start(c + 1) − 1` and keeps its representative and
+/// cost.
 pub(crate) fn histogram_over_runs(runs: &SseOracle, b: usize) -> Result<Histogram> {
     let run_level = DpTables::build(runs, b)?.extract(b, runs)?;
-    let starts = runs.run_starts();
     let buckets = run_level
         .buckets()
         .iter()
         .map(|bucket| Bucket {
-            start: starts[bucket.start],
-            end: starts[bucket.end + 1] - 1,
+            start: runs.run_start(bucket.start),
+            end: runs.run_start(bucket.end + 1) - 1,
             ..*bucket
         })
         .collect();
-    Histogram::new(starts[run_level.n()], buckets)
+    Histogram::new(runs.run_start(run_level.n()), buckets)
 }
 
 #[cfg(test)]
@@ -196,11 +195,10 @@ mod tests {
                 let oracle = SseOracle::from_moments(&moments, objective);
                 // Every bucket of atoms is bitwise the item bucket it covers.
                 let atoms = zero_runs(&moments, objective);
-                let cuts = atoms.run_starts();
                 for a in 0..m {
                     for c in a..m {
-                        let (run, item) =
-                            (atoms.bucket(a, c), oracle.bucket(cuts[a], cuts[c + 1] - 1));
+                        let (start, end) = (atoms.run_start(a), atoms.run_start(c + 1) - 1);
+                        let (run, item) = (atoms.bucket(a, c), oracle.bucket(start, end));
                         assert_eq!(run.cost.to_bits(), item.cost.to_bits(), "{name} [{a}, {c}]");
                         assert_eq!(
                             run.representative.to_bits(),

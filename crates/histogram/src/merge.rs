@@ -176,7 +176,7 @@ mod tests {
             .collect();
         let item_oracle = SseOracle::from_moments(&dense, SseObjective::FixedRepresentative);
         let piece_oracle = piece_runs(&ps).unwrap();
-        let starts = piece_oracle.run_starts();
+        let starts: Vec<usize> = (0..=ps.len()).map(|r| piece_oracle.run_start(r)).collect();
         assert_eq!(starts, [0, 2, 5, 6, 8]);
         for s in 0..ps.len() {
             for e in s..ps.len() {

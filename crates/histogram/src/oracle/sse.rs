@@ -69,8 +69,8 @@ struct TupleArrays {
 pub struct SseOracle {
     objective: SseObjective,
     /// `prefix_width[e+1] = Σ_{i ≤ e} w_i` (`e + 1` over items): run `i`
-    /// starts at item `prefix_width[i]`.
-    prefix_width: Vec<usize>,
+    /// starts at item `prefix_width[i]`, an integer below 2⁵³, so exact.
+    prefix_width: Vec<f64>,
     /// `prefix_mean[e+1] = Σ_{i ≤ e} E[g_i]`.
     prefix_mean: Vec<f64>,
     /// `prefix_ex2[e+1] = Σ_{i ≤ e} E[g_i²]` (the paper's array `A`).
@@ -114,9 +114,9 @@ impl SseOracle {
         let mut prefix_mean = Vec::with_capacity(capacity);
         let mut prefix_ex2 = Vec::with_capacity(capacity);
         let mut prefix_var = Vec::with_capacity(capacity);
-        let (mut width, mut mean, mut ex2, mut var) = (0, 0.0, 0.0, 0.0);
+        let (mut width, mut mean, mut ex2, mut var) = (0.0, 0.0, 0.0, 0.0);
         for (w, m) in runs {
-            width += w;
+            width += w as f64;
             mean += m.mean;
             ex2 += m.second_moment;
             var += m.variance;
@@ -135,10 +135,9 @@ impl SseOracle {
         }
     }
 
-    /// The first item of every run, then the item count: run `i` covers
-    /// the items `run_starts()[i] ..= run_starts()[i + 1] − 1`.
-    pub(crate) fn run_starts(&self) -> &[usize] {
-        &self.prefix_width
+    /// The first item of run `r`; `run_start(n)` is the item count.
+    pub(crate) fn run_start(&self, r: usize) -> usize {
+        self.prefix_width[r] as usize
     }
 
     /// Builds the oracle choosing how tuple-pdf covariances are handled.
@@ -198,7 +197,7 @@ impl SseOracle {
 
     /// The item count of the bucket `[s, e]`.
     fn width(&self, s: usize, e: usize) -> f64 {
-        (self.prefix_width[e + 1] - self.prefix_width[s]) as f64
+        self.prefix_width[e + 1] - self.prefix_width[s]
     }
 
     fn cost_with_sum_q2(&self, s: usize, e: usize, sum_q2: Option<f64>) -> f64 {
