@@ -53,7 +53,7 @@ impl ByteWriter {
     }
 
     /// Writes a little-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
+    fn put_u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -187,7 +187,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a little-endian `u16`.
-    pub fn get_u16(&mut self) -> Result<u16> {
+    fn get_u16(&mut self) -> Result<u16> {
         Ok(u16::from_le_bytes(self.take_array()?))
     }
 

@@ -1,227 +1,10 @@
-//! A small line-oriented text format for probabilistic relations, so that
-//! relations can be exchanged with external tools (or dumped for inspection)
-//! without going through JSON.
-//!
-//! The format is one record per line, `#` comments and blank lines ignored:
-//!
-//! ```text
-//! # header: model and domain size
-//! model basic|tuple-pdf|value-pdf
-//! domain <n>
-//!
-//! # basic model: one tuple per line
-//! t <item> <probability>
-//!
-//! # tuple pdf model: one tuple per line, alternatives as item:prob pairs
-//! t <item>:<prob> <item>:<prob> ...
-//!
-//! # value pdf model: one item per line, entries as frequency:prob pairs
-//! v <item> <frequency>:<prob> <frequency>:<prob> ...
-//! ```
-//!
-//! The MystiQ movie-link data used by the paper is distributed as
-//! tab-separated `(item, probability)` pairs; [`read_basic_pairs`] accepts
-//! exactly that shape so real data can be dropped in for the synthetic
-//! generator.
+//! The line-oriented text format of stream records: the body of the
+//! server's `INGEST` verb, and a way to dump a stream for inspection.
 
 use std::io::{BufRead, Write};
 
 use crate::error::{PdsError, Result};
-use crate::model::{BasicModel, ProbabilisticRelation, TuplePdfModel, ValuePdf, ValuePdfModel};
 use crate::stream::StreamRecord;
-
-/// Serialises a relation into the text format.
-pub fn write_relation<W: Write>(relation: &ProbabilisticRelation, mut out: W) -> Result<()> {
-    let io_err = |e: std::io::Error| PdsError::InvalidParameter {
-        message: format!("i/o error while writing relation: {e}"),
-    };
-    writeln!(out, "model {}", relation.model_name()).map_err(io_err)?;
-    writeln!(out, "domain {}", relation.n()).map_err(io_err)?;
-    match relation {
-        ProbabilisticRelation::Basic(m) => {
-            for t in m.tuples() {
-                writeln!(out, "t {} {}", t.item, t.prob).map_err(io_err)?;
-            }
-        }
-        ProbabilisticRelation::TuplePdf(m) => {
-            for t in m.tuples() {
-                let alts: Vec<String> = t
-                    .alternatives()
-                    .iter()
-                    .map(|(i, p)| format!("{i}:{p}"))
-                    .collect();
-                writeln!(out, "t {}", alts.join(" ")).map_err(io_err)?;
-            }
-        }
-        ProbabilisticRelation::ValuePdf(m) => {
-            for (i, pdf) in m.items().iter().enumerate() {
-                if pdf.entries().is_empty() {
-                    continue;
-                }
-                let entries: Vec<String> = pdf
-                    .entries()
-                    .iter()
-                    .map(|(v, p)| format!("{v}:{p}"))
-                    .collect();
-                writeln!(out, "v {i} {}", entries.join(" ")).map_err(io_err)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Serialises a relation into a string in the text format.
-pub fn relation_to_string(relation: &ProbabilisticRelation) -> Result<String> {
-    let mut buf = Vec::new();
-    write_relation(relation, &mut buf)?;
-    String::from_utf8(buf).map_err(|e| PdsError::InvalidParameter {
-        message: format!("relation serialisation produced invalid utf-8: {e}"),
-    })
-}
-
-/// Parses a relation from the text format.
-pub fn read_relation<R: BufRead>(input: R) -> Result<ProbabilisticRelation> {
-    let mut model: Option<String> = None;
-    let mut domain: Option<usize> = None;
-    let mut basic_tuples: Vec<(usize, f64)> = Vec::new();
-    let mut tuple_tuples: Vec<Vec<(usize, f64)>> = Vec::new();
-    let mut value_items: Vec<(usize, ValuePdf)> = Vec::new();
-
-    for (line_no, line) in input.lines().enumerate() {
-        let line = line.map_err(|e| PdsError::InvalidParameter {
-            message: format!("i/o error while reading relation: {e}"),
-        })?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut fields = line.split_whitespace();
-        let tag = fields.next().unwrap_or_default();
-        let parse_err = |what: &str| PdsError::InvalidParameter {
-            message: format!("line {}: could not parse {what}: {line}", line_no + 1),
-        };
-        match tag {
-            "model" => model = Some(fields.next().ok_or_else(|| parse_err("model"))?.to_string()),
-            "domain" => {
-                domain = Some(
-                    fields
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| parse_err("domain size"))?,
-                )
-            }
-            "t" => match model.as_deref() {
-                Some("basic") => {
-                    let item: usize = fields
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| parse_err("item"))?;
-                    let prob: f64 = fields
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| parse_err("probability"))?;
-                    basic_tuples.push((item, prob));
-                }
-                Some("tuple-pdf") => {
-                    let mut alts = Vec::new();
-                    for field in fields {
-                        let (i, p) = field
-                            .split_once(':')
-                            .ok_or_else(|| parse_err("alternative"))?;
-                        alts.push((
-                            i.parse().map_err(|_| parse_err("alternative item"))?,
-                            p.parse()
-                                .map_err(|_| parse_err("alternative probability"))?,
-                        ));
-                    }
-                    tuple_tuples.push(alts);
-                }
-                other => {
-                    return Err(PdsError::InvalidParameter {
-                        message: format!(
-                            "line {}: tuple record but model is {:?}",
-                            line_no + 1,
-                            other
-                        ),
-                    })
-                }
-            },
-            "v" => {
-                let item: usize = fields
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| parse_err("item"))?;
-                let mut entries = Vec::new();
-                for field in fields {
-                    let (v, p) = field.split_once(':').ok_or_else(|| parse_err("entry"))?;
-                    entries.push((
-                        v.parse().map_err(|_| parse_err("entry frequency"))?,
-                        p.parse().map_err(|_| parse_err("entry probability"))?,
-                    ));
-                }
-                value_items.push((item, ValuePdf::new(entries)?));
-            }
-            _ => {
-                return Err(PdsError::InvalidParameter {
-                    message: format!("line {}: unknown record tag {tag:?}", line_no + 1),
-                })
-            }
-        }
-    }
-
-    let n = domain.ok_or(PdsError::InvalidParameter {
-        message: "missing `domain <n>` header".into(),
-    })?;
-    match model.as_deref() {
-        Some("basic") => Ok(BasicModel::from_pairs(n, basic_tuples)?.into()),
-        Some("tuple-pdf") => Ok(TuplePdfModel::from_alternatives(n, tuple_tuples)?.into()),
-        Some("value-pdf") => Ok(ValuePdfModel::from_sparse(n, value_items)?.into()),
-        other => Err(PdsError::InvalidParameter {
-            message: format!("missing or unknown `model` header: {other:?}"),
-        }),
-    }
-}
-
-/// Parses a relation from a string in the text format.
-pub fn relation_from_str(text: &str) -> Result<ProbabilisticRelation> {
-    read_relation(text.as_bytes())
-}
-
-/// Reads whitespace- or comma-separated `(item, probability)` pairs — the
-/// shape of the MystiQ movie-link dump used in the paper's experiments — into
-/// a basic-model relation over the smallest domain containing every item.
-pub fn read_basic_pairs<R: BufRead>(input: R) -> Result<BasicModel> {
-    let mut pairs: Vec<(usize, f64)> = Vec::new();
-    let mut max_item = 0usize;
-    for (line_no, line) in input.lines().enumerate() {
-        let line = line.map_err(|e| PdsError::InvalidParameter {
-            message: format!("i/o error while reading pairs: {e}"),
-        })?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let cleaned = line.replace(',', " ");
-        let mut fields = cleaned.split_whitespace();
-        let parse_err = || PdsError::InvalidParameter {
-            message: format!(
-                "line {}: expected `<item> <probability>`: {line}",
-                line_no + 1
-            ),
-        };
-        let item: usize = fields
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(parse_err)?;
-        let prob: f64 = fields
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(parse_err)?;
-        max_item = max_item.max(item);
-        pairs.push((item, prob));
-    }
-    BasicModel::from_pairs(max_item + 1, pairs)
-}
 
 /// Serialises a sequence of stream records in a self-describing line format
 /// (one record per line, no header — streams are unbounded and model-mixed):
@@ -338,77 +121,30 @@ pub fn read_stream<R: BufRead>(input: R) -> Result<Vec<StreamRecord>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::{test_workloads, tpch_like, TpchLikeConfig};
-
-    #[test]
-    fn round_trip_every_model_through_the_text_format() {
-        for w in test_workloads(24, 9) {
-            let text = relation_to_string(&w.relation).unwrap();
-            let back = relation_from_str(&text).unwrap();
-            assert_eq!(back.n(), w.relation.n(), "{}", w.name);
-            assert_eq!(back.model_name(), w.relation.model_name());
-            // Semantics preserved: identical induced pdfs.
-            let a = w.relation.induced_value_pdfs();
-            let b = back.induced_value_pdfs();
-            for i in 0..w.relation.n() {
-                for v in a.item(i).support() {
-                    assert!(
-                        (a.item(i).probability_of(v) - b.item(i).probability_of(v)).abs() < 1e-9,
-                        "{} item {i} value {v}",
-                        w.name
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tuple_pdf_round_trip_preserves_alternative_grouping() {
-        let rel: ProbabilisticRelation = tpch_like(TpchLikeConfig {
-            n: 16,
-            tuples: 20,
-            max_alternatives: 3,
-            locality_window: 4,
-            skew: 0.5,
-            seed: 1,
-        })
-        .into();
-        let text = relation_to_string(&rel).unwrap();
-        let back = relation_from_str(&text).unwrap();
-        match (&rel, &back) {
-            (ProbabilisticRelation::TuplePdf(a), ProbabilisticRelation::TuplePdf(b)) => {
-                assert_eq!(a.tuple_count(), b.tuple_count());
-                for (ta, tb) in a.tuples().iter().zip(b.tuples()) {
-                    assert_eq!(ta.len(), tb.len());
-                    for (&(ia, pa), &(ib, pb)) in ta.alternatives().iter().zip(tb.alternatives()) {
-                        assert_eq!(ia, ib);
-                        assert!((pa - pb).abs() < 1e-12);
-                    }
-                }
-            }
-            _ => panic!("model kind changed in round trip"),
-        }
-    }
+    use crate::generator::test_workloads;
 
     #[test]
     fn comments_and_blank_lines_are_ignored() {
-        let text = "# a comment\n\nmodel basic\ndomain 4\n# tuples\nt 0 0.5\nt 2 0.25\n";
-        let rel = relation_from_str(text).unwrap();
-        assert_eq!(rel.n(), 4);
-        assert_eq!(rel.m(), 2);
-        assert!((rel.expected_frequencies()[2] - 0.25).abs() < 1e-12);
+        let text = "# a comment\n\nb 0 0.5\n  # indented\n\t\nx 2:0.25 3:0.5\n";
+        let records = read_stream(text.as_bytes()).unwrap();
+        assert_eq!(
+            records,
+            vec![
+                StreamRecord::Basic { item: 0, prob: 0.5 },
+                StreamRecord::Alternatives(vec![(2, 0.25), (3, 0.5)]),
+            ]
+        );
     }
 
     #[test]
     fn malformed_inputs_are_rejected_with_context() {
-        assert!(relation_from_str("model basic\nt 0 0.5\n").is_err()); // no domain
-        assert!(relation_from_str("domain 4\nt 0 0.5\n").is_err()); // no model
-        assert!(relation_from_str("model basic\ndomain 4\nt x 0.5\n").is_err());
-        assert!(relation_from_str("model basic\ndomain 4\nt 0 1.5\n").is_err());
-        assert!(relation_from_str("model value-pdf\ndomain 4\nv 0 1.0\n").is_err()); // missing :p
-        assert!(relation_from_str("model tuple-pdf\ndomain 4\nz 0\n").is_err()); // unknown tag
-        let err = relation_from_str("model nosuch\ndomain 4\n").unwrap_err();
-        assert!(err.to_string().contains("nosuch"));
+        // The error names the 1-based line (comments and blank lines count)
+        // and what could not be parsed.
+        let err = read_stream("# header\nb 0 0.5\n\nb x 0.5\n".as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("line 4"), "{err}");
+        assert!(err.to_string().contains("item"), "{err}");
+        let err = read_stream("z 0\n".as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("\"z\""), "{err}");
     }
 
     #[test]
@@ -432,15 +168,5 @@ mod tests {
         assert!(read_stream("v 0 1.0\n".as_bytes()).is_err()); // missing `:p`
         assert!(read_stream("q 0 0.5\n".as_bytes()).is_err()); // unknown tag
         assert!(read_stream("# ok\n\nb 3 0.5\n".as_bytes()).is_ok());
-    }
-
-    #[test]
-    fn mystiq_style_pair_files_are_accepted() {
-        let text = "# item  probability\n3 0.5\n3,0.25\n7\t0.9\n";
-        let basic = read_basic_pairs(text.as_bytes()).unwrap();
-        assert_eq!(basic.n(), 8);
-        assert_eq!(basic.m(), 3);
-        assert!((basic.expected_frequencies()[3] - 0.75).abs() < 1e-12);
-        assert!(read_basic_pairs("3 oops\n".as_bytes()).is_err());
     }
 }

@@ -61,7 +61,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod binio;
-pub mod bounds;
 pub mod error;
 pub mod generator;
 pub mod io;

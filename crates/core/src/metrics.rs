@@ -57,14 +57,6 @@ impl ErrorMetric {
         !matches!(self, ErrorMetric::Mae | ErrorMetric::Mare { .. })
     }
 
-    /// Whether the point error is relative (uses the sanity bound).
-    pub fn is_relative(&self) -> bool {
-        matches!(
-            self,
-            ErrorMetric::Ssre { .. } | ErrorMetric::Sare { .. } | ErrorMetric::Mare { .. }
-        )
-    }
-
     /// The sanity bound `c`, if the metric is relative.
     pub fn sanity_bound(&self) -> Option<f64> {
         match *self {
@@ -142,17 +134,6 @@ impl ErrorMetric {
             "mare" => Some(ErrorMetric::Mare { c }),
             _ => None,
         }
-    }
-
-    /// All cumulative metrics with the given sanity bound, in the order used
-    /// by Figure 2 of the paper.
-    pub fn cumulative_metrics(c: f64) -> Vec<ErrorMetric> {
-        vec![
-            ErrorMetric::Ssre { c },
-            ErrorMetric::Sse,
-            ErrorMetric::Sare { c },
-            ErrorMetric::Sae,
-        ]
     }
 }
 
@@ -259,7 +240,6 @@ mod tests {
             assert_eq!(parsed, metric);
         }
         assert!(ErrorMetric::from_name("bogus", 1.0).is_none());
-        assert_eq!(ErrorMetric::cumulative_metrics(1.0).len(), 4);
         assert_eq!(format!("{}", ErrorMetric::Ssre { c: 0.5 }), "ssre(c=0.5)");
         assert_eq!(format!("{}", ErrorMetric::Sse), "sse");
     }

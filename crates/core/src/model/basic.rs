@@ -96,16 +96,6 @@ impl BasicModel {
         }
         ValuePdfModel::new(pdfs)
     }
-
-    /// Groups tuple probabilities by item (`item -> [p_j]`), useful for exact
-    /// per-item moment computations.
-    pub fn probabilities_by_item(&self) -> Vec<Vec<f64>> {
-        let mut by_item = vec![Vec::new(); self.n];
-        for t in &self.tuples {
-            by_item[t.item].push(t.prob);
-        }
-        by_item
-    }
 }
 
 #[cfg(test)]
@@ -148,15 +138,6 @@ mod tests {
         assert!(BasicModel::from_pairs(2, [(0, 1.5)]).is_err());
         assert!(BasicModel::from_pairs(2, [(0, -0.1)]).is_err());
         assert!(BasicModel::from_pairs(2, [(0, f64::NAN)]).is_err());
-    }
-
-    #[test]
-    fn probabilities_by_item_groups_correctly() {
-        let model = paper_example();
-        let by_item = model.probabilities_by_item();
-        assert_eq!(by_item[0], vec![0.5]);
-        assert_eq!(by_item[1].len(), 2);
-        assert_eq!(by_item[2], vec![0.5]);
     }
 
     #[test]

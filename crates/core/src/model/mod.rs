@@ -74,17 +74,6 @@ impl ProbabilisticRelation {
         }
     }
 
-    /// Returns the relation viewed in the tuple pdf model if it is a basic or
-    /// tuple pdf relation (the basic model is a special case); `None` for the
-    /// value pdf model, which is not contained in the tuple pdf model.
-    pub fn as_tuple_pdf(&self) -> Option<TuplePdfModel> {
-        match self {
-            ProbabilisticRelation::Basic(m) => Some(TuplePdfModel::from_basic(m)),
-            ProbabilisticRelation::TuplePdf(m) => Some(m.clone()),
-            ProbabilisticRelation::ValuePdf(_) => None,
-        }
-    }
-
     /// Whether the per-item frequencies are mutually independent.  True for
     /// the basic and value pdf models; false in general for the tuple pdf
     /// model (alternatives of a tuple are exclusive).
@@ -182,15 +171,6 @@ mod tests {
         .unwrap();
         let rel: ProbabilisticRelation = tuple.into();
         assert!(!rel.items_independent());
-    }
-
-    #[test]
-    fn as_tuple_pdf_conversion() {
-        let rel: ProbabilisticRelation = basic_example().into();
-        let t = rel.as_tuple_pdf().unwrap();
-        assert_eq!(t.tuple_count(), 4);
-        let rel: ProbabilisticRelation = value_example().into();
-        assert!(rel.as_tuple_pdf().is_none());
     }
 
     #[test]

@@ -21,6 +21,13 @@ pub struct TupleAlternatives {
     alternatives: Vec<(usize, f64)>,
 }
 
+/// The normal form's alternatives, without copying them.
+impl From<TupleAlternatives> for Vec<(usize, f64)> {
+    fn from(tuple: TupleAlternatives) -> Self {
+        tuple.alternatives
+    }
+}
+
 impl TupleAlternatives {
     /// Builds a tuple from its alternatives.  Alternatives for the same item
     /// are merged.  Returns an error for invalid probabilities or a total
@@ -65,16 +72,6 @@ impl TupleAlternatives {
             .find(|&&(i, _)| i == item)
             .map(|&(_, p)| p)
             .unwrap_or(0.0)
-    }
-
-    /// Probability that this tuple realises an item in the inclusive range
-    /// `[start, end]`.
-    pub fn probability_in_range(&self, start: usize, end: usize) -> f64 {
-        self.alternatives
-            .iter()
-            .filter(|&&(i, _)| i >= start && i <= end)
-            .map(|&(_, p)| p)
-            .sum()
     }
 
     /// Probability that this tuple realises no item at all.
@@ -242,8 +239,6 @@ mod tests {
     fn range_and_null_probabilities() {
         let model = paper_example();
         let t0 = &model.tuples()[0];
-        assert!((t0.probability_in_range(0, 2) - (0.5 + 1.0 / 3.0)).abs() < 1e-12);
-        assert!((t0.probability_in_range(1, 2) - 1.0 / 3.0).abs() < 1e-12);
         assert!((t0.null_probability() - (1.0 - 0.5 - 1.0 / 3.0)).abs() < 1e-12);
         assert_eq!(t0.probability_of(2), 0.0);
     }

@@ -17,7 +17,7 @@ use crate::error::{PdsError, Result, PROB_TOLERANCE};
 ///
 /// Entries are kept sorted by frequency value and deduplicated; the implicit
 /// probability of frequency zero is *not* stored unless it was given
-/// explicitly (use [`ValuePdf::zero_probability`] or
+/// explicitly (use [`ValuePdf::probability_of`] at zero or
 /// [`ValuePdf::with_explicit_zero`] to materialise it).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct ValuePdf {
@@ -97,7 +97,7 @@ impl ValuePdf {
 
     /// Probability that the frequency is zero, including the implicit
     /// remainder mass.
-    pub fn zero_probability(&self) -> f64 {
+    fn zero_probability(&self) -> f64 {
         let explicit_zero: f64 = self
             .entries
             .iter()

@@ -80,13 +80,6 @@ pub fn item_moments(relation: &ProbabilisticRelation) -> Vec<ItemMoments> {
     }
 }
 
-/// The total expected "energy" of the data, `Σ_i E[g_i^2]`.  This is the
-/// largest possible expected SSE of any synopsis (approximating everything by
-/// zero) and a convenient normaliser for error percentages.
-pub fn total_expected_energy(relation: &ProbabilisticRelation) -> f64 {
-    item_moments(relation).iter().map(|m| m.second_moment).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,15 +151,16 @@ mod tests {
         let rel = &relations()[1];
         let total: f64 = item_moments(rel).iter().map(|m| m.second_moment).sum();
         assert!((total - 252.0 / 144.0).abs() < 1e-12);
-        assert!((total_expected_energy(rel) - 252.0 / 144.0).abs() < 1e-12);
     }
 
     #[test]
     fn deterministic_data_has_zero_variance() {
         let rel: ProbabilisticRelation = ValuePdfModel::deterministic(&[2.0, 0.0, 3.0]).into();
-        for m in item_moments(&rel) {
+        let moments = item_moments(&rel);
+        for m in &moments {
             assert_eq!(m.variance, 0.0);
         }
-        assert!((total_expected_energy(&rel) - 13.0).abs() < 1e-12);
+        let energy: f64 = moments.iter().map(|m| m.second_moment).sum();
+        assert!((energy - 13.0).abs() < 1e-12);
     }
 }

@@ -15,10 +15,7 @@
 //! [`num_threads`] resolves, in priority order: the process-wide programmatic
 //! override ([`set_num_threads`]), the `PDS_THREADS` environment variable
 //! (read once, at first use), and finally
-//! [`std::thread::available_parallelism`].  [`parallel_map_with`] takes an
-//! explicit thread count, which is what deterministic serial-vs-parallel
-//! equivalence tests use (the global override would leak between
-//! concurrently running tests).
+//! [`std::thread::available_parallelism`].
 //!
 //! ## Scoping and panic-propagation contract
 //!
@@ -58,8 +55,7 @@ static ENV_THREADS: OnceLock<Option<usize>> = OnceLock::new();
 
 /// Sets the process-wide worker-thread count used by [`num_threads`].
 /// `Some(n)` forces `n` (clamped to at least 1); `None` restores the
-/// environment/hardware default.  Prefer [`parallel_map_with`] in
-/// tests — this override is global.
+/// environment/hardware default.  The override is process-wide.
 pub fn set_num_threads(threads: Option<usize>) {
     THREAD_OVERRIDE.store(threads.map_or(0, |n| n.max(1)), Ordering::SeqCst);
 }
@@ -99,7 +95,7 @@ where
 
 /// [`parallel_map`] with an explicit worker-thread count (1 runs serially on
 /// the calling thread).
-pub fn parallel_map_with<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
+fn parallel_map_with<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,

@@ -116,7 +116,7 @@ impl Stopwatch {
 
     /// Nanoseconds elapsed since [`Stopwatch::start`], saturating at
     /// `u64::MAX` (≈ 584 years).
-    pub fn elapsed_nanos(&self) -> u64 {
+    fn elapsed_nanos(&self) -> u64 {
         let nanos = self.at.elapsed().as_nanos();
         u64::try_from(nanos).unwrap_or(u64::MAX)
     }
@@ -169,7 +169,7 @@ impl LatencyHistogram {
     }
 
     /// Records a raw nanosecond sample (test and replay entry point).
-    pub fn observe_nanos(&self, nanos: u64) {
+    fn observe_nanos(&self, nanos: u64) {
         if let Some(bucket) = self.buckets.get(bucket_index(nanos)) {
             bucket.fetch_add(1, Ordering::Relaxed);
         }
@@ -183,7 +183,7 @@ impl LatencyHistogram {
     }
 
     /// Sum of all recorded samples, in nanoseconds.
-    pub fn sum_nanos(&self) -> u64 {
+    fn sum_nanos(&self) -> u64 {
         self.sum_nanos.load(Ordering::Relaxed)
     }
 }
@@ -256,10 +256,11 @@ impl Registry {
         h
     }
 
-    /// Renders every registered series into `out` in the Prometheus text
-    /// format (see the module docs).
-    pub fn render_into(&self, out: &mut String) {
+    /// Renders every registered series in the Prometheus text format (see
+    /// the module docs).
+    pub fn render(&self) -> String {
         use std::fmt::Write as _;
+        let mut out = String::new();
         let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
         let mut prev_name = "";
         for entry in entries.iter() {
@@ -315,12 +316,6 @@ impl Registry {
                 }
             }
         }
-    }
-
-    /// [`Registry::render_into`] into a fresh string.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
         out
     }
 }

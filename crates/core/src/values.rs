@@ -39,16 +39,6 @@ impl ValueDomain {
         Self::from_value_pdfs(&relation.induced_value_pdfs())
     }
 
-    /// Builds a domain from an explicit list of values (zero is added if
-    /// missing).
-    pub fn from_values(values: impl IntoIterator<Item = f64>) -> Self {
-        let mut values: Vec<f64> = values.into_iter().collect();
-        values.push(0.0);
-        values.sort_by(|a, b| a.partial_cmp(b).expect("finite frequencies"));
-        values.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-        ValueDomain { values }
-    }
-
     /// The sorted distinct values `v_1 < v_2 < ... < v_{|V|}`.
     pub fn values(&self) -> &[f64] {
         &self.values
@@ -71,29 +61,11 @@ impl ValueDomain {
     }
 
     /// Index of the given value, if it belongs to the domain.
-    pub fn index_of(&self, value: f64) -> Option<usize> {
+    fn index_of(&self, value: f64) -> Option<usize> {
         self.values
             .binary_search_by(|v| v.partial_cmp(&value).expect("finite frequencies"))
             .ok()
             .or_else(|| self.values.iter().position(|&v| (v - value).abs() < 1e-12))
-    }
-
-    /// Index of the largest domain value that is `<= value`, or `None` when
-    /// `value` is smaller than every domain value.
-    pub fn floor_index(&self, value: f64) -> Option<usize> {
-        match self
-            .values
-            .binary_search_by(|v| v.partial_cmp(&value).expect("finite frequencies"))
-        {
-            Ok(i) => Some(i),
-            Err(0) => None,
-            Err(i) => Some(i - 1),
-        }
-    }
-
-    /// The largest value in the domain.
-    pub fn max_value(&self) -> f64 {
-        *self.values.last().expect("domain always contains zero")
     }
 
     /// Dense per-item probability rows: `rows[i][j] = Pr[g_i = v_j]`.
@@ -132,19 +104,17 @@ mod tests {
         let dom = ValueDomain::from_relation(&rel);
         assert_eq!(dom.values(), &[0.0, 1.0, 2.0]);
         assert_eq!(dom.len(), 3);
-        assert_eq!(dom.max_value(), 2.0);
     }
 
     #[test]
     fn index_arithmetic() {
-        let dom = ValueDomain::from_values([3.0, 1.0, 2.0, 1.0]);
+        let dom = ValueDomain::from_value_pdfs(&ValuePdfModel::new(vec![
+            ValuePdf::new([(3.0, 0.25), (1.0, 0.25)]).unwrap(),
+            ValuePdf::new([(2.0, 0.5), (1.0, 0.5)]).unwrap(),
+        ]));
         assert_eq!(dom.values(), &[0.0, 1.0, 2.0, 3.0]);
         assert_eq!(dom.index_of(2.0), Some(2));
         assert_eq!(dom.index_of(2.5), None);
-        assert_eq!(dom.floor_index(2.5), Some(2));
-        assert_eq!(dom.floor_index(-0.5), None);
-        assert_eq!(dom.floor_index(100.0), Some(3));
-        assert_eq!(dom.floor_index(0.0), Some(0));
     }
 
     #[test]
@@ -168,9 +138,9 @@ mod tests {
 
     #[test]
     fn zero_is_always_present() {
-        let dom = ValueDomain::from_values([5.0, 7.0]);
-        assert_eq!(dom.values()[0], 0.0);
-        let empty = ValueDomain::from_values(std::iter::empty());
+        let pdfs = ValuePdfModel::new(vec![ValuePdf::new([(5.0, 0.5), (7.0, 0.5)]).unwrap()]);
+        assert_eq!(ValueDomain::from_value_pdfs(&pdfs).values()[0], 0.0);
+        let empty = ValueDomain::from_value_pdfs(&ValuePdfModel::new(vec![ValuePdf::zero()]));
         assert_eq!(empty.values(), &[0.0]);
         assert!(!empty.is_empty());
     }

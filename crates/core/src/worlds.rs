@@ -29,7 +29,7 @@ pub struct PossibleWorlds {
 impl PossibleWorlds {
     /// Enumerates every possible world of `relation` together with its
     /// probability, failing if more than `limit` worlds would be produced.
-    pub fn enumerate_with_limit(relation: &ProbabilisticRelation, limit: usize) -> Result<Self> {
+    fn enumerate_with_limit(relation: &ProbabilisticRelation, limit: usize) -> Result<Self> {
         let n = relation.n();
         // Each "component" is an independent random choice with a small set of
         // outcomes; a world is one outcome per component.  Outcome = set of
@@ -147,18 +147,6 @@ impl PossibleWorlds {
     pub fn expected_frequencies(&self) -> Vec<f64> {
         (0..self.n).map(|i| self.expectation(|w| w[i])).collect()
     }
-
-    /// Probability that the frequency vector equals `target` exactly (merging
-    /// indistinguishable worlds).
-    pub fn probability_of_world(&self, target: &[f64]) -> f64 {
-        self.worlds
-            .iter()
-            .filter(|(w, _)| {
-                w.len() == target.len() && w.iter().zip(target).all(|(a, b)| (a - b).abs() < 1e-12)
-            })
-            .map(|&(_, p)| p)
-            .sum()
-    }
 }
 
 /// Draws one possible world (a deterministic frequency vector) at random,
@@ -203,6 +191,17 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Probability that the frequency vector equals `target` exactly (merging
+    /// indistinguishable worlds).
+    fn probability_of_world(worlds: &PossibleWorlds, target: &[f64]) -> f64 {
+        worlds
+            .worlds()
+            .iter()
+            .filter(|(w, _)| w.iter().zip(target).all(|(a, b)| (a - b).abs() < 1e-12))
+            .map(|&(_, p)| p)
+            .sum()
+    }
+
     fn basic_example() -> ProbabilisticRelation {
         BasicModel::from_pairs(3, [(0, 0.5), (1, 1.0 / 3.0), (1, 0.25), (2, 0.5)])
             .unwrap()
@@ -236,11 +235,11 @@ mod tests {
         let worlds = PossibleWorlds::enumerate(&basic_example()).unwrap();
         assert!((worlds.total_probability() - 1.0).abs() < 1e-12);
         // Paper: Pr[∅] = 1/8, Pr[{1}] = 1/8, Pr[{1,2}] = 5/48, Pr[{1,2,2}] = 1/48.
-        assert!((worlds.probability_of_world(&[0.0, 0.0, 0.0]) - 1.0 / 8.0).abs() < 1e-12);
-        assert!((worlds.probability_of_world(&[1.0, 0.0, 0.0]) - 1.0 / 8.0).abs() < 1e-12);
-        assert!((worlds.probability_of_world(&[1.0, 1.0, 0.0]) - 5.0 / 48.0).abs() < 1e-12);
-        assert!((worlds.probability_of_world(&[1.0, 2.0, 0.0]) - 1.0 / 48.0).abs() < 1e-12);
-        assert!((worlds.probability_of_world(&[0.0, 1.0, 1.0]) - 5.0 / 48.0).abs() < 1e-12);
+        assert!((probability_of_world(&worlds, &[0.0, 0.0, 0.0]) - 1.0 / 8.0).abs() < 1e-12);
+        assert!((probability_of_world(&worlds, &[1.0, 0.0, 0.0]) - 1.0 / 8.0).abs() < 1e-12);
+        assert!((probability_of_world(&worlds, &[1.0, 1.0, 0.0]) - 5.0 / 48.0).abs() < 1e-12);
+        assert!((probability_of_world(&worlds, &[1.0, 2.0, 0.0]) - 1.0 / 48.0).abs() < 1e-12);
+        assert!((probability_of_world(&worlds, &[0.0, 1.0, 1.0]) - 5.0 / 48.0).abs() < 1e-12);
         // E[g1] = 1/2, E[g2] = 7/12 (paper notation; our items 0 and 1).
         let freqs = worlds.expected_frequencies();
         assert!((freqs[0] - 0.5).abs() < 1e-12);
@@ -253,14 +252,14 @@ mod tests {
         assert!((worlds.total_probability() - 1.0).abs() < 1e-12);
         // Paper: Pr[∅] = 1/24, Pr[{1}] = 1/8, Pr[{2}] = 1/8, Pr[{3}] = 1/12,
         // Pr[{1,2}] = 1/8, Pr[{1,3}] = 1/4, Pr[{2,2}] = 1/12, Pr[{2,3}] = 1/6.
-        assert!((worlds.probability_of_world(&[0.0, 0.0, 0.0]) - 1.0 / 24.0).abs() < 1e-12);
-        assert!((worlds.probability_of_world(&[1.0, 0.0, 0.0]) - 1.0 / 8.0).abs() < 1e-12);
-        assert!((worlds.probability_of_world(&[0.0, 1.0, 0.0]) - 1.0 / 8.0).abs() < 1e-12);
-        assert!((worlds.probability_of_world(&[0.0, 0.0, 1.0]) - 1.0 / 12.0).abs() < 1e-12);
-        assert!((worlds.probability_of_world(&[1.0, 1.0, 0.0]) - 1.0 / 8.0).abs() < 1e-12);
-        assert!((worlds.probability_of_world(&[1.0, 0.0, 1.0]) - 1.0 / 4.0).abs() < 1e-12);
-        assert!((worlds.probability_of_world(&[0.0, 2.0, 0.0]) - 1.0 / 12.0).abs() < 1e-12);
-        assert!((worlds.probability_of_world(&[0.0, 1.0, 1.0]) - 1.0 / 6.0).abs() < 1e-12);
+        assert!((probability_of_world(&worlds, &[0.0, 0.0, 0.0]) - 1.0 / 24.0).abs() < 1e-12);
+        assert!((probability_of_world(&worlds, &[1.0, 0.0, 0.0]) - 1.0 / 8.0).abs() < 1e-12);
+        assert!((probability_of_world(&worlds, &[0.0, 1.0, 0.0]) - 1.0 / 8.0).abs() < 1e-12);
+        assert!((probability_of_world(&worlds, &[0.0, 0.0, 1.0]) - 1.0 / 12.0).abs() < 1e-12);
+        assert!((probability_of_world(&worlds, &[1.0, 1.0, 0.0]) - 1.0 / 8.0).abs() < 1e-12);
+        assert!((probability_of_world(&worlds, &[1.0, 0.0, 1.0]) - 1.0 / 4.0).abs() < 1e-12);
+        assert!((probability_of_world(&worlds, &[0.0, 2.0, 0.0]) - 1.0 / 12.0).abs() < 1e-12);
+        assert!((probability_of_world(&worlds, &[0.0, 1.0, 1.0]) - 1.0 / 6.0).abs() < 1e-12);
         let freqs = worlds.expected_frequencies();
         assert!((freqs[0] - 0.5).abs() < 1e-12);
         assert!((freqs[1] - 7.0 / 12.0).abs() < 1e-12);
@@ -271,8 +270,8 @@ mod tests {
         let worlds = PossibleWorlds::enumerate(&value_example()).unwrap();
         assert!((worlds.total_probability() - 1.0).abs() < 1e-12);
         // Paper: Pr[∅] = 5/48, Pr[{1,2,2}] = 1/16, E[g2] = 5/6.
-        assert!((worlds.probability_of_world(&[0.0, 0.0, 0.0]) - 5.0 / 48.0).abs() < 1e-12);
-        assert!((worlds.probability_of_world(&[1.0, 2.0, 0.0]) - 1.0 / 16.0).abs() < 1e-12);
+        assert!((probability_of_world(&worlds, &[0.0, 0.0, 0.0]) - 5.0 / 48.0).abs() < 1e-12);
+        assert!((probability_of_world(&worlds, &[1.0, 2.0, 0.0]) - 1.0 / 16.0).abs() < 1e-12);
         let freqs = worlds.expected_frequencies();
         assert!((freqs[0] - 0.5).abs() < 1e-12);
         assert!((freqs[1] - 5.0 / 6.0).abs() < 1e-12);

@@ -362,27 +362,6 @@ impl Histogram {
             .collect();
         Histogram::new(self.n, buckets).expect("structure unchanged")
     }
-
-    /// Returns a copy of this histogram with the representative of every
-    /// bucket replaced by the supplied values (used when re-fitting
-    /// representatives of a heuristic bucketing).
-    pub fn with_representatives(&self, representatives: &[f64]) -> Result<Self> {
-        if representatives.len() != self.buckets.len() {
-            return Err(PdsError::InvalidParameter {
-                message: "one representative per bucket is required".into(),
-            });
-        }
-        let buckets = self
-            .buckets
-            .iter()
-            .zip(representatives)
-            .map(|(b, &rep)| Bucket {
-                representative: rep,
-                ..*b
-            })
-            .collect();
-        Histogram::new(self.n, buckets)
-    }
 }
 
 /// Versioned wire envelope for [`Histogram::to_json`] / [`Histogram::from_json`].
@@ -500,10 +479,6 @@ mod tests {
         let h = Histogram::from_boundaries(5, &[1, 4], &[1.0, 2.0]).unwrap();
         assert_eq!(h.num_buckets(), 2);
         assert_eq!(h.estimate(3), 2.0);
-        let refit = h.with_representatives(&[7.0, 8.0]).unwrap();
-        assert_eq!(refit.estimate(0), 7.0);
-        assert_eq!(refit.estimate(4), 8.0);
-        assert!(h.with_representatives(&[1.0]).is_err());
         assert!(Histogram::from_boundaries(5, &[1, 4], &[1.0]).is_err());
     }
 

@@ -124,7 +124,7 @@ impl WeightedAbsOracle {
 
     /// Bucket cost when the representative is pinned to the `l`-th value of
     /// `V` (`0 ≤ l < |V|`).
-    pub fn cost_at_value_index(&self, s: usize, e: usize, l: usize) -> f64 {
+    fn cost_at_value_index(&self, s: usize, e: usize, l: usize) -> f64 {
         (self.below[l][e + 1] - self.below[l][s]) + (self.above[l][e + 1] - self.above[l][s])
     }
 

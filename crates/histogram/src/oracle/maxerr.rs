@@ -313,7 +313,7 @@ impl MaxErrOracle {
 /// returning `(argmin, min)`.  Exact: the minimum of a convex piecewise-linear
 /// function over an interval is attained at an endpoint or at a breakpoint of
 /// its upper envelope.
-pub fn minimise_max_of_lines(lines: &[(f64, f64)], lo: f64, hi: f64) -> (f64, f64) {
+fn minimise_max_of_lines(lines: &[(f64, f64)], lo: f64, hi: f64) -> (f64, f64) {
     assert!(!lines.is_empty(), "at least one line is required");
     let eval = |x: f64| {
         lines

@@ -99,7 +99,7 @@ impl std::error::Error for ProtoError {}
 /// Parses one command line (without its trailing newline; a stray `\r` or
 /// surrounding whitespace is tolerated).  Total: every input either parses
 /// to a [`Command`] or returns a [`ProtoError`] — never a panic.
-pub fn parse_command(line: &str) -> Result<Command, ProtoError> {
+fn parse_command(line: &str) -> Result<Command, ProtoError> {
     if line.len() > MAX_COMMAND_BYTES {
         return Err(ProtoError::new(format!(
             "command line exceeds {MAX_COMMAND_BYTES} bytes"
@@ -151,7 +151,7 @@ pub fn parse_command(line: &str) -> Result<Command, ProtoError> {
     Ok(command)
 }
 
-/// [`parse_command`] over raw bytes: invalid UTF-8 is a [`ProtoError`],
+/// Parses one command line from raw bytes: invalid UTF-8 is a [`ProtoError`],
 /// not a panic.  The fuzzer's entry point.
 pub fn parse_command_bytes(bytes: &[u8]) -> Result<Command, ProtoError> {
     match std::str::from_utf8(bytes) {

@@ -135,7 +135,7 @@ impl PresenceFilter {
 
     /// Whether the filter may contain the **local** index `item` (`true`
     /// is "must visit", `false` is "provably absent").
-    pub fn may_contain(&self, item: usize) -> bool {
+    fn may_contain(&self, item: usize) -> bool {
         let m = self.bits();
         if m == 0 {
             return true;
@@ -245,11 +245,6 @@ impl PruneMeta {
     /// The inclusive local support fence, when any support exists.
     pub fn fence(&self) -> Option<(usize, usize)> {
         self.fence
-    }
-
-    /// Whether a presence filter was built for this segment.
-    pub fn has_filter(&self) -> bool {
-        self.filter.is_some()
     }
 }
 
@@ -734,7 +729,7 @@ mod tests {
         let meta = PruneMeta::of(&seg);
         let (lo, hi) = meta.fence().unwrap();
         assert!(lo >= 8 && hi <= 31, "fence [{lo}, {hi}] not narrow");
-        assert!(meta.has_filter());
+        assert!(meta.filter.is_some());
         // Outside the fence: provably prunable; inside: must visit.
         assert!(!meta.may_overlap(0, 0, lo - 1));
         assert!(!meta.may_overlap(0, hi + 1, 63));
@@ -790,7 +785,7 @@ mod tests {
         let meta = PruneMeta::of(&seg);
         let (lo, hi) = meta.fence().unwrap();
         assert_eq!((lo, hi), (0, 8191));
-        assert!(!meta.has_filter());
+        assert!(meta.filter.is_none());
         assert!(meta.may_overlap(0, 5, 5));
         // Still a valid, round-trippable blob.
         let blob = encode_blob(&seg).unwrap();

@@ -28,12 +28,13 @@
 //!    write lock); [`SynopsisStore::merge_global`] recombines all
 //!    partitions into one global `B`-bucket histogram (the candidate cut
 //!    points are exactly the partition/bucket edges).
-//! 4. **Serve** — range-sum/count estimates combine live memtables with
-//!    sealed segments; the umbrella crate's `aqp` module routes its
-//!    [`FrequencyQuery`]s here.  The read path is **sub-linear in store
-//!    size** (see below): segment pruning, lazily-loaded synopsis blocks
-//!    and a merged-synopsis cache keep a point query from touching cold
-//!    segments at all.
+//! 4. **Serve** — range-sum/count estimates
+//!    ([`SynopsisStore::range_estimate`], [`SynopsisStore::estimate`],
+//!    which the server's `RANGE` and `EST` call) combine live memtables
+//!    with sealed segments.  The read path is **sub-linear in store size**
+//!    (see below): segment pruning, lazily-loaded synopsis blocks and a
+//!    merged-synopsis cache keep a point query from touching cold segments
+//!    at all.
 //!
 //! ## Read path
 //!
@@ -243,7 +244,6 @@
 //! prefix arrays (Section 3.1).
 //!
 //! [`StreamRecord`]: pds_core::stream::StreamRecord
-//! [`FrequencyQuery`]: https://docs.rs/probsyn
 //! [`PdsError`]: pds_core::error::PdsError
 
 #![warn(missing_docs)]

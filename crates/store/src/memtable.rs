@@ -6,10 +6,11 @@
 //!   partition — what a WAL replay must reproduce, and what the seals that
 //!   need the full uncertainty model read;
 //! * two per-item **moment sums**: `E[g_i]` (which also answers live range
-//!   queries) and `Var[g_i]` with every contribution folded as independent
-//!   — a basic record adds `p(1−p)`, an x-tuple `p(1−p)` per alternative,
-//!   a value pdf `Σv²p − (Σvp)²`.  That is exactly the independent fold
-//!   [`Memtable::to_relation`] performs once a value pdf is present;
+//!   queries) and `Var[g_i]` with every record folded as independent of
+//!   the others — a basic record adds `p(1−p)`, an x-tuple `p(1−p)` per
+//!   item of its normal form (an item's exclusive alternatives merged into
+//!   one Bernoulli), a value pdf `Σv²p − (Σvp)²`.  That is exactly the
+//!   fold [`Memtable::to_relation`] performs once a value pdf is present;
 //! * **counts** of the value-pdf and x-tuple records, which name the model
 //!   the buffer needs.
 //!
@@ -24,13 +25,14 @@
 //!
 //! The first two rows read what the relation would have yielded: bitwise
 //! for basic-only buffers, and up to rounding otherwise (a convolved pdf
-//! sums the same moments in another order, and the tuple model merges an
-//! x-tuple's repeated item before adding it).  A seal thus costs what its
+//! sums the same moments in another order).  A seal thus costs what its
 //! synopsis reads, not one pdf convolution per buffered record.
 
 use pds_core::error::{PdsError, Result};
 use pds_core::metrics::ErrorMetric;
-use pds_core::model::{BasicModel, ProbabilisticRelation, TuplePdfModel, ValuePdf, ValuePdfModel};
+use pds_core::model::{
+    BasicModel, ProbabilisticRelation, TupleAlternatives, TuplePdfModel, ValuePdf, ValuePdfModel,
+};
 use pds_core::moments::ItemMoments;
 use pds_core::stream::StreamRecord;
 use pds_histogram::oracle::sse::SseObjective;
@@ -122,9 +124,26 @@ impl Memtable {
 
     /// Appends a record.  The record is validated and every item it touches
     /// must fall inside this partition's range (the store splits
-    /// cross-partition x-tuples before routing).
-    pub fn insert(&mut self, record: StreamRecord) -> Result<()> {
-        let (lo, hi) = record.validate()?;
+    /// cross-partition x-tuples before routing).  An x-tuple is buffered and
+    /// folded in [`TupleAlternatives`]' normal form — alternatives of one
+    /// item merged, zero masses dropped, sorted by item — so an item named
+    /// twice is one Bernoulli of the summed mass, as its alternatives are
+    /// mutually exclusive.
+    pub fn insert(&mut self, mut record: StreamRecord) -> Result<()> {
+        let (lo, hi) = match &mut record {
+            StreamRecord::Alternatives(alts) => {
+                *alts = TupleAlternatives::new(std::mem::take(alts))?.into();
+                match (alts.first(), alts.last()) {
+                    (Some(&(lo, _)), Some(&(hi, _))) => (lo, hi),
+                    _ => {
+                        return Err(PdsError::InvalidParameter {
+                            message: "an x-tuple record needs at least one alternative".into(),
+                        })
+                    }
+                }
+            }
+            _ => record.validate()?,
+        };
         let end = self.start + self.width();
         if lo < self.start || hi >= end {
             return Err(PdsError::ItemOutOfDomain {
@@ -196,10 +215,10 @@ impl Memtable {
     /// * only basic records → basic model;
     /// * basic and/or x-tuple records → tuple pdf model;
     /// * any value-pdf record → value pdf model, folding every contribution
-    ///   into per-item pdfs by convolution (x-tuple alternatives are folded
-    ///   as independent Bernoullis — the same within-tuple boundary
-    ///   approximation as cross-partition splitting, documented at the
-    ///   crate level).
+    ///   into per-item pdfs by convolution (an x-tuple's items are folded as
+    ///   independent Bernoullis, each of its merged mass — the same
+    ///   within-tuple boundary approximation as cross-partition splitting,
+    ///   documented at the crate level).
     pub fn to_relation(&self) -> Result<ProbabilisticRelation> {
         let n = self.width();
         if self.value_records > 0 {
@@ -633,6 +652,106 @@ mod tests {
             (absorbed.value_records, absorbed.tuple_records),
             (all.value_records, all.tuple_records)
         );
+    }
+
+    #[test]
+    fn an_x_tuple_naming_an_item_twice_folds_as_its_merged_twin() {
+        // Alternatives of one x-tuple are exclusive, so `(1, 0.5) (1, 0.4)`
+        // is the single Bernoulli `(1, 0.9)`: Var[g_1] = 0.09, E[g_1²] = 0.9.
+        let pairs = [
+            (vec![(6, 0.5), (6, 0.4)], vec![(6, 0.5 + 0.4)]),
+            (
+                vec![(8, 0.25), (5, 0.0), (6, 0.5), (8, 0.125)],
+                vec![(6, 0.5), (8, 0.25 + 0.125)],
+            ),
+        ];
+        for (repeated, merged) in pairs {
+            let fill = |alts: &Vec<(usize, f64)>, with_value_pdf: bool| {
+                let mut m = Memtable::new(5, 4);
+                m.insert(StreamRecord::Basic { item: 6, prob: 0.5 })
+                    .unwrap();
+                m.insert(StreamRecord::Alternatives(alts.clone())).unwrap();
+                if with_value_pdf {
+                    m.insert(StreamRecord::ValueDistribution {
+                        item: 7,
+                        entries: vec![(2.0, 0.5)],
+                    })
+                    .unwrap();
+                }
+                m
+            };
+            for with_value_pdf in [false, true] {
+                let (a, b) = (
+                    fill(&repeated, with_value_pdf),
+                    fill(&merged, with_value_pdf),
+                );
+                assert_eq!(a.records(), b.records());
+                assert_eq!(moment_bits(&a), moment_bits(&b));
+                assert_eq!(a.to_relation().unwrap(), b.to_relation().unwrap());
+                for kind in [SSE, SynopsisKind::Histogram(ErrorMetric::Sae)] {
+                    for budget in [1, 2, 4] {
+                        assert_eq!(
+                            a.build_segment(kind, budget).unwrap().to_binary().unwrap(),
+                            b.build_segment(kind, budget).unwrap().to_binary().unwrap(),
+                            "{kind:?} budget {budget}"
+                        );
+                    }
+                }
+            }
+        }
+        let mut m = Memtable::new(0, 2);
+        m.insert(StreamRecord::Alternatives(vec![(1, 0.5), (1, 0.4)]))
+            .unwrap();
+        let g1 = m.moments()[1];
+        assert!((g1.variance - 0.09).abs() < 1e-15, "{g1:?}");
+        assert!((g1.second_moment - 0.9).abs() < 1e-15, "{g1:?}");
+    }
+
+    #[test]
+    fn moments_match_possible_worlds_on_buffers_with_repeated_items() {
+        // Small seeded buffers of basic records and x-tuples whose
+        // alternatives often name one item twice; the reference enumerates
+        // every possible world of the same records as a tuple-pdf relation.
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (start, width) = (3, 4);
+            let mut m = Memtable::new(start, width);
+            let mut tuples = Vec::new();
+            for _ in 0..6 {
+                let alts: Vec<(usize, f64)> = if rng.gen_bool(0.3) {
+                    vec![(rng.gen_range(0..width), rng.gen_range(0.05..1.0))]
+                } else {
+                    (0..rng.gen_range(2..4))
+                        .map(|_| (rng.gen_range(0..2), rng.gen_range(0.01..0.33)))
+                        .collect()
+                };
+                let record = match alts[..] {
+                    [(item, prob)] => StreamRecord::Basic {
+                        item: start + item,
+                        prob,
+                    },
+                    _ => StreamRecord::Alternatives(
+                        alts.iter().map(|&(i, p)| (start + i, p)).collect(),
+                    ),
+                };
+                m.insert(record).unwrap();
+                tuples.push(alts);
+            }
+            let relation: ProbabilisticRelation = TuplePdfModel::from_alternatives(width, tuples)
+                .unwrap()
+                .into();
+            let worlds = pds_core::worlds::PossibleWorlds::enumerate(&relation).unwrap();
+            for (i, mine) in m.moments().iter().enumerate() {
+                let mean = worlds.expectation(|w| w[i]);
+                let variance = worlds.expectation(|w| (w[i] - mean) * (w[i] - mean));
+                assert!((mine.mean - mean).abs() < 1e-12, "seed {seed} item {i}");
+                assert!(
+                    (mine.variance - variance).abs() < 1e-12,
+                    "seed {seed} item {i}: {} vs {variance}",
+                    mine.variance
+                );
+            }
+        }
     }
 
     #[test]

@@ -651,11 +651,6 @@ impl SnapshotView {
         self.parts.len()
     }
 
-    /// Sealed segments captured by the view, summed over all partitions.
-    pub fn segment_count(&self) -> usize {
-        self.parts.iter().map(|p| p.segments.len()).sum()
-    }
-
     /// Records still unsealed at capture time (live + frozen memtables).
     pub fn live_records(&self) -> u64 {
         self.parts
@@ -853,7 +848,8 @@ mod tests {
             view.range_estimate(0, 63).to_bits(),
             frozen_answer.to_bits()
         );
-        assert!(view.live_records() + view.segment_count() as u64 > 0);
+        let segments: usize = view.parts.iter().map(|p| p.segments.len()).sum();
+        assert!(view.live_records() + segments as u64 > 0);
     }
 
     #[test]

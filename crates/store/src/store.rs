@@ -78,7 +78,7 @@ pub struct PartitionSpec {
 impl PartitionSpec {
     /// Builds a spec from explicit boundaries (`bounds[0] == 0`, strictly
     /// ascending, last entry is the domain size).
-    pub fn from_bounds(bounds: Vec<usize>) -> Result<Self> {
+    fn from_bounds(bounds: Vec<usize>) -> Result<Self> {
         if bounds.len() < 2 || bounds[0] != 0 {
             return Err(PdsError::InvalidParameter {
                 message: "partition bounds must start at 0 and name at least one range".into(),

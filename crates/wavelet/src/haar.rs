@@ -52,16 +52,6 @@ impl HaarTransform {
         }
     }
 
-    /// Length of the original (unpadded) input.
-    pub fn original_len(&self) -> usize {
-        self.original_len
-    }
-
-    /// Padded (power-of-two) length; the number of coefficients.
-    pub fn padded_len(&self) -> usize {
-        self.padded_len
-    }
-
     /// The orthonormal coefficients (Parseval: `Σ c_i² = Σ g_i²`).
     pub fn normalised(&self) -> &[f64] {
         &self.normalised
@@ -108,7 +98,7 @@ fn transform(padded: &[f64], scale: f64) -> Vec<f64> {
 }
 
 /// Inverse of the unnormalised transform.
-pub fn reconstruct_unnormalised(coeffs: &[f64]) -> Vec<f64> {
+fn reconstruct_unnormalised(coeffs: &[f64]) -> Vec<f64> {
     let n = coeffs.len();
     assert!(
         n.is_power_of_two(),
@@ -301,8 +291,8 @@ mod tests {
     fn non_power_of_two_inputs_are_zero_padded() {
         let data = [1.0, 2.0, 3.0, 4.0, 5.0];
         let t = HaarTransform::forward(&data);
-        assert_eq!(t.original_len(), 5);
-        assert_eq!(t.padded_len(), 8);
+        assert_eq!(t.original_len, 5);
+        assert_eq!(t.padded_len, 8);
         let back = t.reconstruct();
         assert_eq!(back.len(), 5);
         for (a, b) in data.iter().zip(&back) {
@@ -371,7 +361,7 @@ mod tests {
     #[test]
     fn single_item_transform() {
         let t = HaarTransform::forward(&[5.0]);
-        assert_eq!(t.padded_len(), 1);
+        assert_eq!(t.padded_len, 1);
         assert_eq!(t.unnormalised(), &[5.0]);
         assert_eq!(t.reconstruct(), vec![5.0]);
         let tree = ErrorTree::new(1);

@@ -1,7 +1,7 @@
 //! End-to-end `pds-store` pipeline at production-ish scale: stream more than
 //! a million uncertain tuples into a partitioned synopsis store, let
 //! memtables seal into per-partition segments, compact, merge the partition
-//! synopses into one global histogram, and serve range-count/sum AQP queries
+//! synopses into one global histogram, and serve range-count/sum queries
 //! — comparing the sharded pipeline's accuracy against a monolithic
 //! single-build histogram over the same data, and the compact binary segment
 //! encoding against the JSON form of the histogram it embeds.  The timing
@@ -14,8 +14,8 @@
 
 use std::time::Instant;
 
-use probsyn::aqp::{answer_with_histogram, answer_with_store, FrequencyQuery};
 use probsyn::prelude::*;
+use probsyn::store::SegmentSynopsis;
 
 const N: usize = 8192;
 const PARTITIONS: usize = 8;
@@ -98,13 +98,9 @@ fn main() -> Result<()> {
     );
 
     // A query served while data is still live in memtables.
-    let live_query = FrequencyQuery::RangeSum {
-        start: 0,
-        end: N - 1,
-    };
     println!(
         "live range-count estimate over the full domain: {:.1} ({} records still in memtables)",
-        answer_with_store(&store, live_query).estimate,
+        store.range_estimate(0, N - 1),
         mid_stats.live_records,
     );
 
@@ -164,15 +160,17 @@ fn main() -> Result<()> {
             queries.push((start, start + width - 1));
         }
     }
+    // The bare histograms answer through the kernel the store serves.
+    let merged = Segment::new(0, 0, SegmentSynopsis::Histogram(merged))?;
+    let monolithic = Segment::new(0, 0, SegmentSynopsis::Histogram(monolithic))?;
     let mut merged_err = 0.0;
     let mut mono_err = 0.0;
     let mut store_err = 0.0;
     for &(s, e) in &queries {
-        let query = FrequencyQuery::RangeSum { start: s, end: e };
         let reference = exact_range(s, e);
-        store_err += (answer_with_store(&store, query).estimate - reference).abs();
-        merged_err += (answer_with_histogram(&merged, query).estimate - reference).abs();
-        mono_err += (answer_with_histogram(&monolithic, query).estimate - reference).abs();
+        store_err += (store.range_estimate(s, e) - reference).abs();
+        merged_err += (merged.range_sum(s, e) - reference).abs();
+        mono_err += (monolithic.range_sum(s, e) - reference).abs();
     }
     store_err /= queries.len() as f64;
     merged_err /= queries.len() as f64;
@@ -206,7 +204,7 @@ fn main() -> Result<()> {
     let binary = wide.to_binary()?;
     // The embedded histogram's JSON alone: a lower bound on any JSON form
     // of the whole segment.
-    let probsyn::store::SegmentSynopsis::Histogram(histogram) = wide.synopsis() else {
+    let SegmentSynopsis::Histogram(histogram) = wide.synopsis() else {
         unreachable!("built as a histogram segment just above");
     };
     let json = histogram.to_json()?;
@@ -224,13 +222,9 @@ fn main() -> Result<()> {
     // ------------------------------------------------------- persistence
     let blob = store.to_binary()?;
     let restored = SynopsisStore::from_binary(&blob)?;
-    let q = FrequencyQuery::RangeSum {
-        start: 100,
-        end: 3100,
-    };
     assert_eq!(
-        answer_with_store(&restored, q).estimate,
-        answer_with_store(&store, q).estimate,
+        restored.range_estimate(100, 3100),
+        store.range_estimate(100, 3100),
     );
     println!(
         "store snapshot: {} bytes for {} segments; restored copy answers identically",
@@ -242,13 +236,9 @@ fn main() -> Result<()> {
     if let Some(dir) = durable_dir {
         // Everything is sealed, so every segment's blob and manifest entry
         // is already on disk: drop the store and come back from files alone.
-        let reopen_queries: Vec<FrequencyQuery> = queries
+        let before: Vec<f64> = queries
             .iter()
-            .map(|&(s, e)| FrequencyQuery::RangeSum { start: s, end: e })
-            .collect();
-        let before: Vec<f64> = reopen_queries
-            .iter()
-            .map(|&q| answer_with_store(&store, q).estimate)
+            .map(|&(s, e)| store.range_estimate(s, e))
             .collect();
         let segments_before = store.stats().segments;
         drop(store);
@@ -256,15 +246,15 @@ fn main() -> Result<()> {
         let reopened = SynopsisStore::open_with_wal(config, &dir)?;
         let reopen_secs = t4.elapsed().as_secs_f64();
         assert_eq!(reopened.stats().segments, segments_before);
-        for (q, want) in reopen_queries.iter().zip(&before) {
-            let got = answer_with_store(&reopened, *q).estimate;
-            assert_eq!(got, *want, "reopened store diverged on {q:?}");
+        for (&(s, e), want) in queries.iter().zip(&before) {
+            let got = reopened.range_estimate(s, e);
+            assert_eq!(got, *want, "reopened store diverged on [{s}, {e}]");
         }
         println!(
             "reopened {} segments from manifest + blobs in {reopen_secs:.3}s; \
              all {} range queries answer bit-identically",
             segments_before,
-            reopen_queries.len(),
+            queries.len(),
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

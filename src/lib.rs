@@ -50,7 +50,7 @@
 //!
 //! | Path              | Package         | Contents                                   |
 //! |-------------------|-----------------|--------------------------------------------|
-//! | `.`               | `probsyn`       | umbrella re-exports, [`prelude`], [`aqp`]  |
+//! | `.`               | `probsyn`       | umbrella re-exports, [`prelude`]           |
 //! | `crates/core`     | `pds-core`      | uncertainty models, worlds, moments, generators, stream records, binary-envelope primitives, scoped thread pool (`pds_core::pool`), lock-free telemetry primitives (`pds_core::telemetry`) |
 //! | `crates/histogram`| `pds-histogram` | bucket-cost oracles, exact DP (single-threaded pruned argmin scan), `(1+ε)` approximation, partition-merge DP |
 //! | `crates/wavelet`  | `pds-wavelet`   | Haar transform, SSE and non-SSE thresholding |
@@ -134,15 +134,13 @@
 //! The figure binaries (`example1`, `figure2`, `figure3`, `figure4`,
 //! `ablation_approx`, `ablation_sse_objective`, `wavelet_nonsse`) print the
 //! tables behind the paper's plots; the `examples/` directory holds scenario
-//! walkthroughs (record linkage, sensor readings, ingest-and-query, ...).
+//! walkthroughs (record linkage, sensor readings, wavelet compression, ...).
 
 pub use pds_core as core;
 pub use pds_histogram as histogram;
 pub use pds_server as server;
 pub use pds_store as store;
 pub use pds_wavelet as wavelet;
-
-pub mod aqp;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {

@@ -6,10 +6,23 @@
 //! no prefix arrays, no binary searches, no range-max tables, no sweeps.
 //! The optimized oracles in `pds-histogram` are cross-checked against it by
 //! `tests/oracle_reference.rs` and the property suites.
+//! [`exact_expected_answer`] is the reference every served range count is
+//! checked against by `tests/store_end_to_end.rs`.
 
 #![allow(dead_code)]
 
 use probsyn::prelude::*;
+
+/// The exact expected range count `E_W[Σ_{lo ≤ i ≤ hi} g_i]`, `hi` clamped
+/// to the domain.  Expectation is linear, so it needs only the per-item
+/// expected frequencies.
+pub fn exact_expected_answer(relation: &ProbabilisticRelation, lo: usize, hi: usize) -> f64 {
+    let moments = item_moments(relation);
+    moments[lo..=hi.min(moments.len() - 1)]
+        .iter()
+        .map(|m| m.mean)
+        .sum()
+}
 
 /// A deliberately naive bucket-cost oracle used as ground truth.
 pub struct ReferenceOracle {
