@@ -173,6 +173,18 @@ mod tests {
                     _ => records.len(),
                 }
             );
+            let mass: f64 = records
+                .iter()
+                .map(|r| match r {
+                    StreamRecord::Basic { prob, .. } => *prob,
+                    StreamRecord::Alternatives(alts) => alts.iter().map(|&(_, p)| p).sum(),
+                    StreamRecord::ValueDistribution { entries, .. } => {
+                        entries.iter().map(|&(v, p)| v * p).sum()
+                    }
+                })
+                .sum();
+            let expected: f64 = w.relation.expected_frequencies().iter().sum();
+            assert!((mass - expected).abs() < 1e-9, "{}", w.name);
             for r in &records {
                 let (lo, hi) = r.validate().unwrap();
                 assert!(lo <= hi && hi < 24);

@@ -269,7 +269,7 @@ fn small_basic() -> ProbabilisticRelation {
 }
 
 /// A six-item tuple-pdf relation (three x-tuples, two alternatives each;
-/// the first two straddle the partitions of [`lossless_store`]).
+/// the first straddles two partitions of [`lossless_store`]).
 fn small_tuple_pdf() -> ProbabilisticRelation {
     TuplePdfModel::from_alternatives(
         6,
